@@ -13,13 +13,10 @@ import (
 	"antlayer/internal/shard"
 )
 
-// reconnectBackoff computes the worker's retry schedule: exponential
-// doubling from base up to max, plus a deterministic jitter keyed off the
-// attempt counter — so a restarted fleet doesn't redial in lockstep, yet
-// the exact schedule is pinned by a unit test. reset() (wired to the
-// worker's OnRegister callback) snaps the schedule back to base after a
-// successful registration, so one long outage doesn't make the worker
-// sluggish about the next brief one.
+// reconnectBackoff walks the worker's retry schedule (shard.Backoff).
+// reset() (wired to the worker's OnRegister callback) snaps the schedule
+// back to base after a successful registration, so one long outage
+// doesn't make the worker sluggish about the next brief one.
 type reconnectBackoff struct {
 	base, max time.Duration
 
@@ -28,19 +25,11 @@ type reconnectBackoff struct {
 }
 
 // next returns the delay before the upcoming reconnect attempt and
-// advances the schedule. Attempt k waits base<<k plus (k%5) sixteenths of
-// that doubled delay, capped at max.
+// advances the schedule.
 func (b *reconnectBackoff) next() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	d := b.base
-	for i := 0; i < b.attempt && d < b.max; i++ {
-		d *= 2
-	}
-	d += time.Duration(b.attempt%5) * (d / 16)
-	if d > b.max {
-		d = b.max
-	}
+	d := shard.Backoff(b.base, b.max, b.attempt)
 	b.attempt++
 	return d
 }

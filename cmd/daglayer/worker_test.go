@@ -6,24 +6,17 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"antlayer/internal/shard"
 )
 
-// TestReconnectBackoffSchedule pins the exact retry schedule: exponential
-// doubling with the deterministic attempt-keyed jitter, capped at max.
-func TestReconnectBackoffSchedule(t *testing.T) {
+// TestReconnectBackoffReset: next walks the shard.Backoff schedule one
+// attempt per call, and reset snaps it back to base.
+func TestReconnectBackoffReset(t *testing.T) {
 	b := &reconnectBackoff{base: 100 * time.Millisecond, max: 2 * time.Second}
-	want := []time.Duration{
-		100 * time.Millisecond,    // 100ms, jitter 0
-		212500 * time.Microsecond, // 200ms + 1*(200ms/16)
-		450 * time.Millisecond,    // 400ms + 2*(400ms/16)
-		950 * time.Millisecond,    // 800ms + 3*(800ms/16)
-		2 * time.Second,           // 1600ms + 4*(1600ms/16) = 2s (at cap)
-		2 * time.Second,           // 3200ms, jitter 0, capped
-		2 * time.Second,           // capped forever after
-	}
-	for i, w := range want {
-		if got := b.next(); got != w {
-			t.Errorf("attempt %d: next() = %s, want %s", i, got, w)
+	for k := 0; k < 3; k++ {
+		if got, want := b.next(), shard.Backoff(b.base, b.max, k); got != want {
+			t.Errorf("attempt %d: next() = %s, want %s", k, got, want)
 		}
 	}
 	b.reset()

@@ -136,7 +136,7 @@ type Snapshot struct {
 	// Canceled reports that the failure was caused by Cancel rather than
 	// the work itself.
 	Canceled bool
-	// Labels are the job's topics (see SubmitLabeled).
+	// Labels are the job's topics (see SubmitTraced).
 	Labels []string
 	// TraceID names the request trace the job belongs to (see
 	// SubmitTraced); the daemon echoes it on job envelopes so a polled
@@ -320,21 +320,16 @@ func (q *Queue) expire(now time.Time) int {
 // Submit enqueues fn and returns its job. It fails fast with ErrQueueFull
 // when the backlog is at capacity and ErrClosed after Close.
 func (q *Queue) Submit(fn Func) (*Job, error) {
-	return q.SubmitLabeled(fn)
+	return q.SubmitTraced(fn, "")
 }
 
-// SubmitLabeled is Submit with topic labels attached to the job: every
-// event the job publishes carries them, so per-topic subscribers (an SSE
-// /events?topic= stream, a webhook subscription) see it. Labels do not
-// influence the work or its result.
-func (q *Queue) SubmitLabeled(fn Func, labels ...string) (*Job, error) {
-	return q.SubmitTraced(fn, "", labels...)
-}
-
-// SubmitTraced is SubmitLabeled with a request trace ID attached: the
-// daemon's /jobs handler passes the trace it opened for the submission
-// so the job's envelope can point back at GET /traces/{id}. Like
-// labels, the trace ID never influences the work or its result.
+// SubmitTraced is Submit with a request trace ID and topic labels
+// attached to the job. The daemon's /jobs handler passes the trace it
+// opened for the submission so the job's envelope can point back at GET
+// /traces/{id} (empty for none). Every event the job publishes carries
+// the labels, so per-topic subscribers (an SSE /events?topic= stream, a
+// webhook subscription) see it. Neither influences the work or its
+// result.
 func (q *Queue) SubmitTraced(fn Func, traceID string, labels ...string) (*Job, error) {
 	q.mu.Lock()
 	if q.closed {

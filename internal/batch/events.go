@@ -41,7 +41,7 @@ type Event struct {
 	Canceled bool `json:"canceled,omitempty"`
 	// Error carries a failed event's reason.
 	Error string `json:"error,omitempty"`
-	// Labels are the job's topics (see SubmitLabeled).
+	// Labels are the job's topics (see SubmitTraced).
 	Labels []string  `json:"labels,omitempty"`
 	Time   time.Time `json:"time"`
 }

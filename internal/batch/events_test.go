@@ -102,11 +102,11 @@ func TestEventsTopicFilter(t *testing.T) {
 	sub := q.Events().Subscribe("", "red", 32)
 	defer sub.Close()
 	fn := func(context.Context) ([]byte, error) { return nil, nil }
-	red, err := q.SubmitLabeled(fn, "red", "hot")
+	red, err := q.SubmitTraced(fn, "", "red", "hot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.SubmitLabeled(fn, "blue"); err != nil {
+	if _, err := q.SubmitTraced(fn, "", "blue"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.Submit(fn); err != nil {

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -81,6 +80,11 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	results := make(chan bulkResult, 16)
 	go s.bulkAdmit(ctx, r.Body, results)
 
+	// Results stream back while later lines are still being read. Without
+	// full duplex the HTTP/1 server drains and closes the request body at
+	// the first flushed result, failing every line not yet read. HTTP/2
+	// streams are always full duplex and report ErrNotSupported here.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	for res := range results {
@@ -179,33 +183,17 @@ func (s *Server) bulkSubmitLine(lineNo int, raw []byte) (*batch.Job, bulkResult)
 	if err != nil {
 		return fail("bad query: %v", err)
 	}
-	req, err := ParseRequest(query)
-	if err != nil {
-		return fail("bad request: %v", err)
+	a, ierr := s.intake(query, strings.NewReader(bl.Graph), nil)
+	if ierr != nil {
+		return fail("%s", ierr.msg)
 	}
-	if req.Distributed && s.cfg.Coordinator == nil {
-		return fail("distributed=true but this daemon is not a coordinator")
-	}
-	g, names, err := ParseGraph(req, strings.NewReader(bl.Graph))
+	job, retry, err := s.submitJob(a, nil)
 	if err != nil {
-		return fail("bad %s input: %v", req.Format, err)
-	}
-	key := requestKey(req, g, names)
-	gk := graphKey(g, names)
-	req, key, warm, _ := s.warmPlan(req, g, names, key, gk)
-	timeout := s.timeout(req)
-	job, err := s.jobs.SubmitLabeled(func(ctx context.Context) ([]byte, error) {
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		body, _, _, err := s.computeCached(ctx, key, req, g, names, gk, warm, nil)
-		return body, err
-	}, req.Labels...)
-	if err != nil {
-		if errors.Is(err, batch.ErrQueueFull) {
+		if retry > 0 {
 			return nil, bulkResult{
 				Line: lineNo, State: string(batch.StateFailed),
 				Error:      fmt.Sprintf("job queue full (depth %d)", s.cfg.JobQueueDepth),
-				RetryAfter: s.jobs.RetryAfter(),
+				RetryAfter: retry,
 			}
 		}
 		return nil, bulkResult{Line: lineNo, State: "closed", Error: fmt.Sprintf("job queue closed: %v", err)}

@@ -173,6 +173,81 @@ func TestBulkQueueFullRejection(t *testing.T) {
 	}
 }
 
+// TestBulkStreamsWhileReading is the regression test for lost bulk
+// lines: results stream back while later input lines are still being
+// read, so the handler must run the connection full duplex. The client
+// sends one line, waits for its result, and only then sends the rest.
+// Without full duplex the HTTP/1 server drains and closes the request
+// body at the first flushed result, so that result never arrives while
+// the body is open, and lines racing the flush fail as "invalid Read on
+// closed Body" or truncated JSON.
+func TestBulkStreamsWhileReading(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	type reply struct {
+		resp *http.Response
+		err  error
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/jobs/bulk?envelope=true", "application/x-ndjson", pr)
+		replies <- reply{resp, err}
+	}()
+	if _, err := io.WriteString(pw, bulkBody([2]string{"algo=unknown-algo", demoDOT})); err != nil {
+		t.Fatal(err)
+	}
+	var resp *http.Response
+	select {
+	case r := <-replies:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		resp = r.resp
+	case <-time.After(5 * time.Second):
+		t.Fatal("no streamed result while the request body is still open")
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	if !sc.Scan() {
+		t.Fatalf("stream ended before the first result: %v", sc.Err())
+	}
+	var first bulkResult
+	if err := json.Unmarshal(sc.Bytes(), &first); err != nil || first.Line != 1 || first.State != "failed" {
+		t.Fatalf("first result = %q (%v), want line 1 failed", sc.Bytes(), err)
+	}
+
+	// The rest of the body goes out only now, while the response streams.
+	const n = 32
+	var reqs [][2]string
+	for i := 0; i < n; i++ {
+		reqs = append(reqs, [2]string{"format=edges&tours=10", bigEdgeList(40 + 2*i)})
+	}
+	go func() {
+		_, err := io.WriteString(pw, bulkBody(reqs...))
+		pw.CloseWithError(err)
+	}()
+	done := map[int]bool{}
+	for sc.Scan() {
+		var res bulkResult
+		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+			t.Fatalf("bad envelope line %q: %v", sc.Bytes(), err)
+		}
+		if res.State != "done" {
+			t.Errorf("line %d %s: %s", res.Line, res.State, res.Error)
+			continue
+		}
+		done[res.Line] = true
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != n {
+		t.Fatalf("%d of %d lines done", len(done), n)
+	}
+}
+
 // TestBulkBadMethodAndEmpty: GET is refused; an empty body streams back
 // an empty (but successful) response.
 func TestBulkBadMethodAndEmpty(t *testing.T) {

@@ -59,50 +59,19 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusMethodNotAllowed, "POST a DOT or edge-list graph to /jobs (then poll GET /jobs/{id}), or GET /jobs to list")
 		return
 	}
-	// A job's trace spans its whole life: minted (or honored) at
-	// submission, finished when the job settles, so the queue wait is
-	// visible in the span breakdown. Head sampling (TraceSample) decides
-	// here; a sampled-out job still gets a request ID, just no trace.
-	var tr *obs.Trace
-	if s.sampleTrace() {
-		tr = s.tracer.New(r.Header.Get("X-Request-ID"))
-	}
-	w.Header().Set("X-Request-ID", s.requestID(r, tr))
-	parse := tr.Begin("parse")
-	req, g, names, ok := s.parseLayerHTTP(w, r)
-	parse.End()
-	if !ok {
+	// A job's trace spans its whole life: opened at submission, finished
+	// when the job settles, so the queue wait is visible in the span
+	// breakdown.
+	tr := s.startTrace(w, r)
+	a, ierr := s.intake(r.URL.Query(), http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), tr)
+	if ierr != nil {
 		s.tracer.Finish(tr)
+		s.httpError(w, ierr.status, "%s", ierr.msg)
 		return
 	}
-	key := requestKey(req, g, names)
-	gk := graphKey(g, names)
-	wspan := tr.Begin("warm")
-	req, key, warm, _ := s.warmPlan(req, g, names, key, gk)
-	wspan.End()
-	timeout := s.timeout(req)
-	enqueued := tr.Since()
-	job, err := s.jobs.SubmitTraced(func(ctx context.Context) ([]byte, error) {
-		defer s.tracer.Finish(tr)
-		tr.Observe("queue_wait", "", 0, enqueued, tr.Since()-enqueued)
-		// The deadline starts when a worker picks the job up, not at
-		// submission: a job is not punished for waiting out a long queue.
-		ctx, cancel := context.WithTimeout(obs.NewContext(ctx, tr), timeout)
-		defer cancel()
-		// The shared engine of handleLayer: identical jobs running at
-		// once — or a job identical to an in-flight /layer request —
-		// share one computation and the result cache. No semaphore: the
-		// job worker pool is the compute bound here.
-		body, _, _, err := s.computeCached(ctx, key, req, g, names, gk, warm, nil)
-		return body, err
-	}, tr.ID(), req.Labels...)
+	job, retry, err := s.submitJob(a, tr)
 	if err != nil {
-		s.tracer.Finish(tr)
-		if errors.Is(err, batch.ErrQueueFull) {
-			// The hint is derived from the queue stats — backlog and
-			// running jobs over the worker pool — not a constant, so
-			// clients back off proportionally to the actual congestion.
-			retry := s.jobs.RetryAfter()
+		if retry > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(retry))
 			s.httpError(w, http.StatusTooManyRequests, "job queue full (depth %d); retry in %ds", s.cfg.JobQueueDepth, retry)
 			return
@@ -111,13 +80,40 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log().Info("job submitted",
-		"job", job.ID(), "trace", tr.ID(), "warm", warm != nil, "n", g.N(), "m", g.M(), "algo", string(req.Algo))
+		"job", job.ID(), "trace", tr.ID(), "warm", a.warm != nil, "n", a.g.N(), "m", a.g.M(), "algo", string(a.req.Algo))
 	s.writeJobStatus(w, http.StatusAccepted, jobStatus{
 		ID:      job.ID(),
 		State:   string(batch.StateQueued),
 		TraceID: tr.ID(),
 		Poll:    "/jobs/" + job.ID(),
 	})
+}
+
+// submitJob enqueues an admitted request: the one job closure behind
+// POST /jobs (traced) and every /jobs/bulk line (tr nil). tr is finished
+// when the job settles, or here if the queue refuses it. The deadline
+// starts when a worker picks the job up, so a long queue wait is not
+// punished. The job runs on handleLayer's engine — identical requests
+// share one computation and the cache — with the worker pool, not the
+// semaphore, as its bound. A full queue yields batch.ErrQueueFull and
+// the queue's stats-derived Retry-After hint.
+func (s *Server) submitJob(a *admission, tr *obs.Trace) (job *batch.Job, retryAfter int, err error) {
+	enqueued := tr.Since()
+	job, err = s.jobs.SubmitTraced(func(ctx context.Context) ([]byte, error) {
+		defer s.tracer.Finish(tr)
+		tr.Observe("queue_wait", "", 0, enqueued, tr.Since()-enqueued)
+		ctx, cancel := context.WithTimeout(obs.NewContext(ctx, tr), a.timeout)
+		defer cancel()
+		body, _, _, err := s.computeCached(ctx, a, nil)
+		return body, err
+	}, tr.ID(), a.req.Labels...)
+	if err != nil {
+		s.tracer.Finish(tr)
+		if errors.Is(err, batch.ErrQueueFull) {
+			retryAfter = s.jobs.RetryAfter()
+		}
+	}
+	return job, retryAfter, err
 }
 
 // jobListEntry is one row of the GET /jobs listing: the status envelope

@@ -218,8 +218,8 @@ func ParseGraph(req Request, body io.Reader) (*antlayer.Graph, []string, error) 
 	}
 }
 
-// requestKey is the cache key: a hash over the canonical form of the graph
-// (vertex count, per-vertex width and name, edges sorted by endpoint) and
+// requestKey is the cache key: a hash over the graph's canonical hash gk
+// (graphKey — the caller hashes the graph once and passes it in) and
 // every parameter that determines the response body.
 //
 // Several fields are deliberately excluded. Workers: the layering is
@@ -239,9 +239,9 @@ func ParseGraph(req Request, body io.Reader) (*antlayer.Graph, []string, error) 
 // different (equally valid) layerings when computed from scratch; the
 // cache pins whichever was computed first, which keeps responses stable —
 // a feature, not a loss.
-func requestKey(req Request, g *antlayer.Graph, names []string) string {
+func requestKey(req Request, gk string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "graph=%s\n", graphKey(g, names))
+	fmt.Fprintf(h, "graph=%s\n", gk)
 	aco := req.ACO
 	aco.Workers = 0
 	// Warm and ExportState never parameterise the body of a *cold*

@@ -63,7 +63,7 @@ func TestLayerTraceLifecycle(t *testing.T) {
 		t.Error("trace not finished after the response")
 	}
 	counts := spanCounts(v)
-	for _, name := range []string{"parse", "cache_lookup", "compute"} {
+	for _, name := range []string{"parse", "key", "cache_lookup", "compute"} {
 		if counts[name] == 0 {
 			t.Errorf("miss trace lacks %q span: %v", name, counts)
 		}
@@ -257,7 +257,7 @@ func TestJobTraceFlow(t *testing.T) {
 		t.Error("job trace not finished after the job settled")
 	}
 	counts := spanCounts(v)
-	for _, name := range []string{"parse", "queue_wait", "compute"} {
+	for _, name := range []string{"parse", "key", "queue_wait", "compute"} {
 		if counts[name] == 0 {
 			t.Errorf("job trace lacks %q span: %v", name, counts)
 		}

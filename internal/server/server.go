@@ -34,10 +34,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -449,30 +451,68 @@ func (s *Server) httpError(w http.ResponseWriter, status int, format string, arg
 	http.Error(w, fmt.Sprintf(format, args...), status)
 }
 
-// parseLayerHTTP decodes the query and body of a /layer or /jobs request,
-// answering the error response itself; ok reports whether the caller got
-// a usable request.
-func (s *Server) parseLayerHTTP(w http.ResponseWriter, r *http.Request) (req Request, g *antlayer.Graph, names []string, ok bool) {
-	req, err := ParseRequest(r.URL.Query())
+// admission is a request that passed intake, ready for computeCached.
+// gk is the canonical graph hash (X-Graph-Key), coldKey the result-cache
+// key of the request as asked (X-Cache-Key), and req, key, warm and
+// probed are what warmPlan made of them.
+type admission struct {
+	req              Request
+	g                *antlayer.Graph
+	names            []string
+	gk, coldKey, key string
+	warm             *warmRun
+	probed           bool
+	timeout          time.Duration
+}
+
+// intakeError is a request intake refused: the status /layer and /jobs
+// answer, and the message (a bulk line's error).
+type intakeError struct {
+	status int
+	msg    string
+}
+
+// intake is the one admission sequence behind /layer, /jobs and every
+// /jobs/bulk line: parse the query and the graph, hash the graph once and
+// derive the result-cache key from that hash, then plan a warm start.
+// Each stage records one span on tr (nil-safe): parse, key, warm.
+func (s *Server) intake(q url.Values, body io.Reader, tr *obs.Trace) (*admission, *intakeError) {
+	span := tr.Begin("parse")
+	req, g, names, ierr := s.parseInput(q, body)
+	span.End()
+	if ierr != nil {
+		return nil, ierr
+	}
+	span = tr.Begin("key")
+	a := &admission{req: req, g: g, names: names, gk: graphKey(g, names)}
+	a.coldKey = requestKey(req, a.gk)
+	span.End()
+	span = tr.Begin("warm")
+	a.req, a.key, a.warm, a.probed = s.warmPlan(req, g, names, a.coldKey, a.gk)
+	span.End()
+	a.timeout = s.timeout(a.req)
+	return a, nil
+}
+
+// parseInput is intake's parse stage: the query parameters, then the
+// graph body in the format they name.
+func (s *Server) parseInput(q url.Values, body io.Reader) (Request, *antlayer.Graph, []string, *intakeError) {
+	req, err := ParseRequest(q)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return req, nil, nil, false
+		return req, nil, nil, &intakeError{http.StatusBadRequest, fmt.Sprintf("bad request: %v", err)}
 	}
 	if req.Distributed && s.cfg.Coordinator == nil {
-		s.httpError(w, http.StatusBadRequest, "distributed=true but this daemon is not a coordinator (start it with -coordinator)")
-		return req, nil, nil, false
+		return req, nil, nil, &intakeError{http.StatusBadRequest, "distributed=true but this daemon is not a coordinator (start it with -coordinator)"}
 	}
-	g, names, err = ParseGraph(req, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	g, names, err := ParseGraph(req, body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.httpError(w, http.StatusRequestEntityTooLarge, "graph larger than %d bytes", tooLarge.Limit)
-			return req, nil, nil, false
+			return req, nil, nil, &intakeError{http.StatusRequestEntityTooLarge, fmt.Sprintf("graph larger than %d bytes", tooLarge.Limit)}
 		}
-		s.httpError(w, http.StatusBadRequest, "bad %s input: %v", req.Format, err)
-		return req, nil, nil, false
+		return req, nil, nil, &intakeError{http.StatusBadRequest, fmt.Sprintf("bad %s input: %v", req.Format, err)}
 	}
-	return req, g, names, true
+	return req, g, names, nil
 }
 
 // computeCached serves a request body from the cache, an identical
@@ -492,13 +532,12 @@ func (s *Server) parseLayerHTTP(w http.ResponseWriter, r *http.Request) (req Req
 // source is "hit", "coalesced" or "miss" on success; stage names what
 // was happening when err struck, in the vocabulary deadlineError logs.
 //
-// gk is the request's canonical graph hash (graphKey): a computation
-// that exported a warm-start state files it there. warm is non-nil when
-// the caller's warmPlan warm-started the request (key and req are then
-// already the rewritten ones); it drives the warm hit and tours-saved
+// A computation that exported a warm-start state files it under the
+// admission's graph hash. a.warm drives the warm hit and tours-saved
 // accounting — a warm "hit" is any request served through a warm
 // lineage, whether the body was computed, coalesced or replayed.
-func (s *Server) computeCached(ctx context.Context, key string, req Request, g *antlayer.Graph, names []string, gk string, warm *warmRun, acquire func(context.Context) (func(), error)) (body []byte, source, stage string, err error) {
+func (s *Server) computeCached(ctx context.Context, a *admission, acquire func(context.Context) (func(), error)) (body []byte, source, stage string, err error) {
+	key, warm := a.key, a.warm
 	tr := obs.FromContext(ctx)
 	for {
 		lookup := tr.Begin("cache_lookup")
@@ -556,7 +595,7 @@ func (s *Server) computeCached(ctx context.Context, key string, req Request, g *
 			}
 		}
 		computeStart := tr.Since()
-		body, toursRun, state, err := ComputeWith(ctx, req, g, names, s.islandRunner(req))
+		body, toursRun, state, err := ComputeWith(ctx, a.req, a.g, a.names, s.islandRunner(a.req))
 		tr.Observe("compute", "", 0, computeStart, tr.Since()-computeStart)
 		s.metrics.toursRun.Add(int64(toursRun))
 		s.metrics.inFlight.Add(-1)
@@ -565,7 +604,7 @@ func (s *Server) computeCached(ctx context.Context, key string, req Request, g *
 			s.flights.finish(key, fl, nil, err)
 			return nil, "", "computing", err
 		}
-		if state != nil && gk != "" && warm == nil {
+		if state != nil && warm == nil {
 			// File a cold run's final state under the graph it solved, so
 			// the next request for this graph — or an edit of it — can
 			// warm-start. Only cold runs publish: they are the stable
@@ -576,7 +615,7 @@ func (s *Server) computeCached(ctx context.Context, key string, req Request, g *
 			// When an edit chain wanders far enough from its anchor that
 			// the similarity probe misses, the cold run that follows
 			// re-anchors it.
-			s.warm.put(gk, names, state)
+			s.warm.put(a.gk, a.names, state)
 		}
 		if warm != nil {
 			s.metrics.warmHits.Add(1)
@@ -629,33 +668,28 @@ func (s *Server) islandRunner(req Request) IslandRunner {
 	}
 }
 
-// sampleTrace decides whether a request mints a trace, per
-// Config.TraceSample. The sampling RNG is deliberately outside the
-// deterministic seed discipline: it selects which requests are observed,
-// never what any of them compute.
-func (s *Server) sampleTrace() bool {
-	switch sample := s.cfg.TraceSample; {
-	case sample >= 1:
-		return true
-	case sample <= 0:
-		return false
-	default:
-		return rand.Float64() < sample
+// startTrace opens the trace of a /layer or /jobs request and echoes its
+// X-Request-ID. Head sampling (Config.TraceSample) decides whether the
+// request records spans; its RNG is deliberately outside the
+// deterministic seed discipline, since it selects which requests are
+// observed, never what any of them compute. A well-formed inbound ID is
+// honored (so callers and upstream proxies can correlate), a fresh one
+// minted otherwise, and the ID is echoed even when the request is
+// sampled out, so correlation never depends on the sampling verdict. A
+// nil trace (sampled out) is inert everywhere downstream; the caller
+// finishes a non-nil one.
+func (s *Server) startTrace(w http.ResponseWriter, r *http.Request) *obs.Trace {
+	id := r.Header.Get("X-Request-ID")
+	if sample := s.cfg.TraceSample; sample >= 1 || sample > 0 && rand.Float64() < sample {
+		tr := s.tracer.New(id)
+		w.Header().Set("X-Request-ID", tr.ID())
+		return tr
 	}
-}
-
-// requestID resolves the X-Request-ID echo: the trace's ID when one was
-// minted, otherwise the inbound header when well-formed, otherwise a
-// fresh ID — so sampled-out requests still correlate in logs and
-// upstream proxies.
-func (s *Server) requestID(r *http.Request, tr *obs.Trace) string {
-	if tr != nil {
-		return tr.ID()
+	if !obs.ValidID(id) {
+		id = obs.NewID()
 	}
-	if id := r.Header.Get("X-Request-ID"); obs.ValidID(id) {
-		return id
-	}
-	return obs.NewID()
+	w.Header().Set("X-Request-ID", id)
+	return nil
 }
 
 // acquireSem is the /layer compute bound: the semaphore caps computation,
@@ -670,7 +704,7 @@ func (s *Server) acquireSem(ctx context.Context) (func(), error) {
 	}
 }
 
-// handleLayer is the daemon's synchronous endpoint: parse, then serve
+// handleLayer is the daemon's synchronous endpoint: intake, then serve
 // through the shared cache/single-flight/compute engine under the
 // semaphore and the request deadline.
 func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
@@ -683,48 +717,30 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.metrics.observeLatency(time.Since(start)) }()
 
-	// One trace per sampled request: the inbound X-Request-ID is honored
-	// when well-formed (so callers and upstream proxies can correlate),
-	// minted otherwise, and always echoed — even when head sampling
-	// (Config.TraceSample) decides this request records no spans, so
-	// correlation never depends on the sampling verdict. A nil trace is
-	// inert everywhere downstream (obs.Trace is nil-safe).
-	var tr *obs.Trace
-	if s.sampleTrace() {
-		tr = s.tracer.New(r.Header.Get("X-Request-ID"))
-		defer s.tracer.Finish(tr)
-	}
-	w.Header().Set("X-Request-ID", s.requestID(r, tr))
-
-	parse := tr.Begin("parse")
-	req, g, names, ok := s.parseLayerHTTP(w, r)
-	parse.End()
-	if !ok {
+	tr := s.startTrace(w, r)
+	defer s.tracer.Finish(tr)
+	a, ierr := s.intake(r.URL.Query(), http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), tr)
+	if ierr != nil {
+		s.httpError(w, ierr.status, "%s", ierr.msg)
 		return
 	}
-	key := requestKey(req, g, names)
-	gk := graphKey(g, names)
-	w.Header().Set("X-Cache-Key", key)
+	w.Header().Set("X-Cache-Key", a.coldKey)
 	// The graph's canonical hash is the handle a client passes back as
 	// base= to name this graph as the warm-start lineage of its next
 	// edit.
-	w.Header().Set("X-Graph-Key", gk)
-
-	wspan := tr.Begin("warm")
-	req, key, warm, probed := s.warmPlan(req, g, names, key, gk)
-	wspan.End()
+	w.Header().Set("X-Graph-Key", a.gk)
 	switch {
-	case warm != nil:
+	case a.warm != nil:
 		w.Header().Set("X-Warm", "hit")
-		w.Header().Set("X-Warm-Base", warm.baseKey)
-	case probed:
+		w.Header().Set("X-Warm-Base", a.warm.baseKey)
+	case a.probed:
 		w.Header().Set("X-Warm", "miss")
 	}
 
-	ctx, cancel := context.WithTimeout(obs.NewContext(r.Context(), tr), s.timeout(req))
+	ctx, cancel := context.WithTimeout(obs.NewContext(r.Context(), tr), a.timeout)
 	defer cancel()
 
-	body, source, stage, err := s.computeCached(ctx, key, req, g, names, gk, warm, s.acquireSem)
+	body, source, stage, err := s.computeCached(ctx, a, s.acquireSem)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.deadlineError(w, r, err, stage)
@@ -744,8 +760,8 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log().Info("layer served",
-		"trace", tr.ID(), "source", source, "warm", warm != nil, "n", g.N(), "m", g.M(),
-		"algo", string(req.Algo), "dur", time.Since(start).Round(time.Microsecond))
+		"trace", tr.ID(), "source", source, "warm", a.warm != nil, "n", a.g.N(), "m", a.g.M(),
+		"algo", string(a.req.Algo), "dur", time.Since(start).Round(time.Microsecond))
 	s.writeBody(w, body, source)
 }
 

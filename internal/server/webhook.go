@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"antlayer/internal/batch"
+	"antlayer/internal/shard"
 )
 
 // Webhook subscriptions: the push model for clients that cannot hold an
@@ -21,28 +22,13 @@ import (
 // filtered by job id or topic label) and the daemon POSTs every matching
 // job state transition to it as JSON — the same Event document the SSE
 // streams carry. A delivery that fails (connection error or non-2xx) is
-// retried on the worker-reconnect backoff schedule (attempt k waits
-// base<<k plus a deterministic jitter, capped), a bounded number of
+// retried on the worker-reconnect schedule, shard.Backoff (attempt k
+// waits base<<k plus a deterministic jitter, capped), a bounded number of
 // times; after that the event is counted failed and delivery moves on —
 // a dead endpoint never wedges the stream. Events a slow endpoint missed
 // entirely (its buffer overflowed while a delivery dragged) are counted
 // dropped; the receiver can detect the gap from the sequence numbers and
 // re-fetch state via GET /jobs.
-
-// webhookBackoff is the delay before retry attempt k (0-based), the
-// worker-reconnect schedule: base<<k plus (k%5) sixteenths of the doubled
-// delay, capped at max.
-func webhookBackoff(base, max time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	d += time.Duration(attempt%5) * (d / 16)
-	if d > max {
-		d = max
-	}
-	return d
-}
 
 // webhookRequest is the POST /subscriptions body.
 type webhookRequest struct {
@@ -252,7 +238,7 @@ func (m *webhookManager) deliver(ws *webhookSub, ev batch.Event) {
 			ws.retries.Add(1)
 			m.retries.Add(1)
 			select {
-			case <-time.After(webhookBackoff(cfg.WebhookRetryBase, cfg.WebhookRetryMax, attempt-1)):
+			case <-time.After(shard.Backoff(cfg.WebhookRetryBase, cfg.WebhookRetryMax, attempt-1)):
 			case <-m.done:
 				ws.failed.Add(1)
 				m.failed.Add(1)

@@ -24,6 +24,24 @@ var errAborted = errors.New("shard: run aborted by coordinator")
 // liveness timeout, plus margin.
 const defaultHeartbeatInterval = 2 * time.Second
 
+// Backoff is the retry schedule of a worker reconnecting to its
+// coordinator, reused by the daemon's webhook deliveries: the delay
+// before retry attempt k (0-based) is base<<k plus (k%5) sixteenths of
+// that doubled delay, capped at max. The jitter term is keyed off the
+// attempt counter, so a restarted fleet does not redial in lockstep, yet
+// the exact schedule is reproducible.
+func Backoff(base, max time.Duration, attempt int) time.Duration {
+	d := base
+	for i := 0; i < attempt && d < max; i++ {
+		d *= 2
+	}
+	d += time.Duration(attempt%5) * (d / 16)
+	if d > max {
+		d = max
+	}
+	return d
+}
+
 // FaultPlan is a test-only fault-injection hook: the chaos harness (and
 // the shard failure tests) use it to make a worker misbehave at an exact,
 // reproducible point in the epoch protocol. Production workers run with a

@@ -31,7 +31,12 @@ type ant struct {
 	widths []float64 // widths[l-1] = width of layer l incl. dummies
 	occ    []int     // occ[l-1] = number of real vertices on layer l
 	h      int       // number of occupied layers
-	rng    *rand.Rand
+	// rng draws from a lazySource, so reseeding it for every walk is O(1).
+	rng *rand.Rand
+	// memo caches math.Exp for the η = exp(-Δ) heuristic. It belongs to
+	// the colony worker that walks the ant and is never shared between
+	// goroutines.
+	memo *expMemo
 
 	// Prefix/suffix maxima over occupied layer widths (1-based layers;
 	// preMax[0] = sufMax[L+1] = -inf sentinel). Maintained incrementally:
@@ -59,8 +64,8 @@ type ant struct {
 
 // newAnt allocates an ant over the shared search space and prepares it for
 // its first walk. powTau must be τ^α (the raw matrix is fine when α = 1).
-// baseAssign and baseWidths are copied.
-func newAnt(g *dag.Graph, p *Params, powTau [][]float64, L int, baseAssign []int, baseWidths []float64, seed int64) *ant {
+// baseAssign and baseWidths are copied; memo is kept by reference.
+func newAnt(g *dag.Graph, p *Params, powTau [][]float64, L int, baseAssign []int, baseWidths []float64, seed int64, memo *expMemo) *ant {
 	n := g.N()
 	a := &ant{
 		g:        g,
@@ -69,7 +74,8 @@ func newAnt(g *dag.Graph, p *Params, powTau [][]float64, L int, baseAssign []int
 		assign:   make([]int, n),
 		widths:   make([]float64, L),
 		occ:      make([]int, L),
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(newLazySource(seed)),
+		memo:     memo,
 		preMax:   make([]float64, L+2),
 		sufMax:   make([]float64, L+2),
 		etas:     make([]float64, L),
@@ -226,7 +232,7 @@ func (a *ant) chooseLayer(v, lo, hi int) int {
 		}
 	} else {
 		for i, d := range deltas {
-			etas[i] = math.Exp(-d)
+			etas[i] = a.memo.exp(-d)
 		}
 	}
 	if a.p.WidthBound > 0 {
@@ -451,6 +457,44 @@ func (a *ant) curMaxWidth() float64 {
 		return m
 	}
 	return 0
+}
+
+// expMemoBits sizes an expMemo at 2¹⁰ slots. A walk sees a few hundred
+// distinct Δ values; 256 slots missed 9–23% of lookups on the paper's
+// corpus, 1024 miss about 1%.
+const expMemoBits = 10
+
+// expMemoEmpty marks an unused slot: a NaN bit pattern, whose slot value
+// is math.Exp of that very NaN, so even a lookup of the sentinel itself
+// returns math.Exp's answer.
+const expMemoEmpty = 0x7ff8_0000_dead_beef
+
+// expMemo is a direct-mapped cache of math.Exp keyed by the argument's bit
+// pattern. It only ever returns a value math.Exp computed for the same
+// bits, so memoised and direct evaluation agree exactly.
+type expMemo [1 << expMemoBits]struct {
+	key uint64
+	val float64
+}
+
+func newExpMemo() *expMemo {
+	m := new(expMemo)
+	empty := math.Exp(math.Float64frombits(expMemoEmpty))
+	for i := range m {
+		m[i].key, m[i].val = expMemoEmpty, empty
+	}
+	return m
+}
+
+// exp returns math.Exp(x).
+func (m *expMemo) exp(x float64) float64 {
+	b := math.Float64bits(x)
+	// Fibonacci hashing: the top bits of b·2⁶⁴/φ mix every bit of b.
+	e := &m[b*0x9e3779b97f4a7c15>>(64-expMemoBits)]
+	if e.key != b {
+		e.key, e.val = b, math.Exp(x)
+	}
+	return e.val
 }
 
 // argmaxLayer returns the layer maximising τ^α·η^β, resolving ties towards

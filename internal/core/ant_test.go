@@ -44,7 +44,7 @@ func testAnt(t *testing.T, g *dag.Graph, p Params, seed int64) *ant {
 		}
 	}
 	assign := s.Assignment()
-	return newAnt(g, &p, powTau, L, assign, layerWidths(g, assign, L, p.DummyWidth), seed)
+	return newAnt(g, &p, powTau, L, assign, layerWidths(g, assign, L, p.DummyWidth), seed, newExpMemo())
 }
 
 // exactHW computes the normalization-aware H+W of an ant's state from

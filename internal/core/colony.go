@@ -66,6 +66,7 @@ type Colony struct {
 
 	ants   []*ant      // reused across tours; allocated on the first tour
 	powTau [][]float64 // scratch for the per-tour τ^α snapshot (α ≠ 1 only)
+	memos  []*expMemo  // one exp memo per tour worker, handed to the ant it walks
 
 	// Incremental run state, initialised lazily by ensureStarted so a
 	// freshly constructed colony costs nothing until it steps.
@@ -136,6 +137,27 @@ func layerWidths(g *dag.Graph, assign []int, L int, dummyWidth float64) []float6
 	return w
 }
 
+// layeringObjective returns f = 1/(H+W) of an assignment with the given
+// layer widths, with the arithmetic of ant.scoreWalk: H counts the
+// occupied layers and W is the widest occupied layer, clamped at 0.
+func layeringObjective(assign []int, widths []float64) float64 {
+	occupied := make([]bool, len(widths))
+	h := 0
+	for _, l := range assign {
+		if !occupied[l-1] {
+			occupied[l-1] = true
+			h++
+		}
+	}
+	w := 0.0
+	for i, width := range widths {
+		if occupied[i] && width > w {
+			w = width
+		}
+	}
+	return 1 / (float64(h) + w)
+}
+
 // Run executes the layering phase (Algorithm 4) and returns the best
 // layering found across all tours. It is RunContext with a background
 // context: the run cannot be cancelled.
@@ -173,11 +195,7 @@ func (c *Colony) ensureStarted() {
 	}
 	c.started = true
 	c.tour = 1
-	// The seed ant never walks or scores candidates, so the raw pheromone
-	// matrix stands in for the τ^α snapshot its constructor asks for.
-	seed := newAnt(c.g, &c.p, c.tau, c.L, c.baseAssign, c.baseWidths, 0)
-	seed.scoreWalk()
-	c.bestObjective = seed.objective
+	c.bestObjective = layeringObjective(c.baseAssign, c.baseWidths)
 	c.bestAssign = append([]int(nil), c.baseAssign...)
 }
 
@@ -387,7 +405,8 @@ func (c *Colony) powTauSnapshot() [][]float64 {
 // pheromone matrix is an immutable snapshot (evaporation and the best
 // ant's deposit happen in Run, strictly after the pool's barrier), the
 // base layering is only read, and each ant owns its assignment copy, its
-// scratch buffers and its RNG. Each ant's seed is derived from the master
+// scratch buffers and its RNG; each worker owns the exp memo it lends to
+// the ants it walks. Each ant's seed is derived from the master
 // seed and the ant's (tour, index) coordinates — see antSeed — so the
 // layering constructed by ant i of tour t is a pure function of Params and
 // the base layering, and the tour's outcome is bitwise-identical at any
@@ -403,26 +422,32 @@ func (c *Colony) runTour(ctx context.Context, t int) []*ant {
 		c.ants = make([]*ant, c.p.Ants)
 	}
 	ants := c.ants
+	workers := c.workers()
+	for len(c.memos) < workers {
+		c.memos = append(c.memos, newExpMemo())
+	}
 	// walkAnt prepares ant i for tour t — allocating it on the first tour
-	// (newAnt resets internally), resetting it afterwards — and walks it.
-	// Each index is handled by exactly one worker, so lazy construction
-	// needs no synchronisation.
-	walkAnt := func(i int) {
+	// (newAnt resets internally), resetting it afterwards — and walks it
+	// with the calling worker's memo. Each index is handled by exactly one
+	// worker, so lazy construction needs no synchronisation. A memo only
+	// ever returns math.Exp's own result, so which worker's memo an ant
+	// gets cannot change its walk.
+	walkAnt := func(i int, memo *expMemo) {
 		seed := antSeed(c.p.Seed, t, i)
 		if ants[i] == nil {
-			ants[i] = newAnt(c.g, &c.p, powTau, c.L, c.baseAssign, c.baseWidths, seed)
+			ants[i] = newAnt(c.g, &c.p, powTau, c.L, c.baseAssign, c.baseWidths, seed, memo)
 		} else {
+			ants[i].memo = memo
 			ants[i].reset(c.baseAssign, c.baseWidths, powTau, seed)
 		}
 		ants[i].walk()
 	}
-	workers := c.workers()
 	if workers <= 1 {
 		for i := range ants {
 			if ctx.Err() != nil {
 				break
 			}
-			walkAnt(i)
+			walkAnt(i, c.memos[0])
 		}
 		return ants
 	}
@@ -430,15 +455,15 @@ func (c *Colony) runTour(ctx context.Context, t int) []*ant {
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(memo *expMemo) {
 			defer wg.Done()
 			for i := range next {
 				if ctx.Err() != nil {
 					continue // drain the channel so the dispatcher never blocks
 				}
-				walkAnt(i)
+				walkAnt(i, memo)
 			}
-		}()
+		}(c.memos[w])
 	}
 	for i := range ants {
 		if ctx.Err() != nil {

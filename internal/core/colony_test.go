@@ -241,7 +241,7 @@ func TestPowTauSnapshotNonUnitAlpha(t *testing.T) {
 		}
 	}
 	// And scoring multiplies the snapshot entry by η^β.
-	a := newAnt(g, &c.p, pt, c.L, c.baseAssign, c.baseWidths, 1)
+	a := newAnt(g, &c.p, pt, c.L, c.baseAssign, c.baseWidths, 1, newExpMemo())
 	eta := 0.7
 	if got, want := a.scoreWith(2, 3, eta), pt[2][2]*math.Pow(eta, p.Beta); got != want {
 		t.Fatalf("scoreWith = %g, want %g", got, want)
@@ -478,7 +478,7 @@ func TestEvaporateAndDeposit(t *testing.T) {
 			}
 		}
 	}
-	a := newAnt(g, &p, c.tau, c.L, c.baseAssign, c.baseWidths, 1)
+	a := newAnt(g, &p, c.tau, c.L, c.baseAssign, c.baseWidths, 1, newExpMemo())
 	a.walk()
 	before := c.tau[0][a.assign[0]-1]
 	c.deposit(a)

@@ -224,9 +224,12 @@ func (c *Colony) applyWarm() {
 	if !c.validAssignment(elite) {
 		return
 	}
-	if c.scoreAssignment(elite) >= c.scoreAssignment(c.baseAssign) {
+	// Scored like ensureStarted scores the seed, so warm-base selection
+	// and incumbent scoring use bit-identical arithmetic.
+	eliteWidths := layerWidths(c.g, elite, c.L, c.p.DummyWidth)
+	if layeringObjective(elite, eliteWidths) >= layeringObjective(c.baseAssign, c.baseWidths) {
 		c.baseAssign = elite
-		c.baseWidths = layerWidths(c.g, elite, c.L, c.p.DummyWidth)
+		c.baseWidths = eliteWidths
 	}
 }
 
@@ -248,14 +251,4 @@ func (c *Colony) validAssignment(assign []int) bool {
 		}
 	}
 	return true
-}
-
-// scoreAssignment measures f = 1/(H+W) of an assignment through the same
-// ant machinery ensureStarted scores the seed with, so warm-base
-// selection and incumbent scoring use bit-identical arithmetic.
-func (c *Colony) scoreAssignment(assign []int) float64 {
-	widths := layerWidths(c.g, assign, c.L, c.p.DummyWidth)
-	a := newAnt(c.g, &c.p, c.tau, c.L, assign, widths, 0)
-	a.scoreWalk()
-	return a.objective
 }

@@ -1,12 +1,14 @@
 package core
 
 // Benchmarks for the ant-walk hot path: one full solution construction
-// (BenchmarkWalk) and one per-vertex layer decision (BenchmarkChooseLayer).
-// Both report allocations — the per-vertex decision path is required to be
+// (BenchmarkWalk), one per-vertex layer decision (BenchmarkChooseLayer),
+// the per-walk RNG reseed (BenchmarkRNGReseed) and whole colony runs over a
+// corpus sample (BenchmarkCorpusColony). They report allocations — the per-vertex decision path is required to be
 // allocation-free (see DESIGN.md, hot path), so allocs/op regressions here
 // are correctness bugs for the performance contract, not noise.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -44,7 +46,7 @@ func benchAnt(b *testing.B, g *dag.Graph, p Params, seed int64) *ant {
 		b.Fatalf("benchAnt requires Alpha == 1, got %g", p.Alpha)
 	}
 	assign := s.Assignment()
-	return newAnt(g, &p, tau, L, assign, layerWidths(g, assign, L, p.DummyWidth), seed)
+	return newAnt(g, &p, tau, L, assign, layerWidths(g, assign, L, p.DummyWidth), seed, newExpMemo())
 }
 
 func benchGraph(b *testing.B, n int) *dag.Graph {
@@ -99,6 +101,57 @@ func BenchmarkChooseLayer(b *testing.B) {
 					a.chooseLayer(v, lo, hi)
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkRNGReseed measures what every walk pays for its generator: a
+// reseed followed by a number of draws, on math/rand's own source (stock)
+// and on the lazily seeded one (lazy). Both produce the same stream; stock
+// pays for the whole 607-word register up front, lazy per word read.
+func BenchmarkRNGReseed(b *testing.B) {
+	for _, src := range []struct {
+		name string
+		new  func() rand.Source
+	}{
+		{"stock", func() rand.Source { return rand.NewSource(1) }},
+		{"lazy", func() rand.Source { return newLazySource(1) }},
+	} {
+		for _, draws := range []int{0, 64, 300, 607, 3000} {
+			b.Run(fmt.Sprintf("%s/draws=%d", src.name, draws), func(b *testing.B) {
+				r := rand.New(src.new())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r.Seed(int64(i))
+					for k := 0; k < draws; k++ {
+						r.Int63()
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkCorpusColony runs the default colony (Workers=1) over one graph
+// of every corpus group, n = 10…100: the paper-corpus workload's kernel
+// without the public API around it. One op is the whole sample.
+func BenchmarkCorpusColony(b *testing.B) {
+	groups, err := graphgen.CorpusSample(1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := DefaultParams()
+	p.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, grp := range groups {
+			for _, g := range grp.Graphs {
+				if _, err := Run(context.Background(), g, p); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }

@@ -196,8 +196,8 @@ type Stats struct {
 	// sweep (count-bound evictions are not included).
 	Expired int64 `json:"expired"`
 	// Depth is the backlog bound Submit enforces; Workers is the pool
-	// size draining it. Together with the Queued gauge they determine
-	// RetryAfter.
+	// size draining it. With the Queued and Running gauges they give a
+	// rejected submitter's Retry-After hint.
 	Depth   int `json:"depth"`
 	Workers int `json:"workers"`
 }
@@ -449,32 +449,6 @@ func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.stats
-}
-
-// RetryAfter suggests, in whole seconds, when a submitter rejected with
-// ErrQueueFull should try again: the number of queue-drain rounds ahead
-// of it — backlog plus the jobs already running, divided by the worker
-// pool — clamped to [1, 30]. The value is a pure function of the queue
-// stats (see RetryAfterSeconds), so clients see a backlog-proportional
-// hint instead of a constant, and tests can pin it deterministically.
-func (q *Queue) RetryAfter() int {
-	return RetryAfterSeconds(q.Stats())
-}
-
-// RetryAfterSeconds is RetryAfter computed from a stats snapshot.
-func RetryAfterSeconds(s Stats) int {
-	workers := int64(s.Workers)
-	if workers <= 0 {
-		workers = 1
-	}
-	rounds := (s.Queued + s.Running + workers - 1) / workers
-	if rounds < 1 {
-		rounds = 1
-	}
-	if rounds > 30 {
-		rounds = 30
-	}
-	return int(rounds)
 }
 
 // Close stops the queue: no further Submit succeeds, queued jobs fail as

@@ -101,59 +101,6 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
-// TestRetryAfterDerivedFromStats pins the Retry-After contract: the hint
-// is a pure, deterministic function of (queued, running, workers) —
-// drain rounds ahead of the submitter, clamped to [1, 30] — never a
-// constant.
-func TestRetryAfterDerivedFromStats(t *testing.T) {
-	cases := []struct {
-		queued, running int64
-		workers         int
-		want            int
-	}{
-		{0, 0, 4, 1},    // idle queue: immediate retry
-		{0, 0, 0, 1},    // degenerate worker count clamps to 1
-		{1, 1, 1, 2},    // one round draining, one queued
-		{4, 2, 2, 3},    // ceil(6/2)
-		{5, 2, 2, 4},    // ceil(7/2): remainder rounds up
-		{500, 8, 4, 30}, // deep backlog clamps at 30s
-	}
-	for _, c := range cases {
-		s := Stats{Queued: c.queued, Running: c.running, Workers: c.workers}
-		if got := RetryAfterSeconds(s); got != c.want {
-			t.Errorf("RetryAfterSeconds(queued=%d running=%d workers=%d) = %d, want %d",
-				c.queued, c.running, c.workers, got, c.want)
-		}
-	}
-
-	// The live queue agrees with the snapshot formula as load mounts.
-	q := New(Config{Workers: 1, Depth: 2})
-	defer q.Close()
-	if got := q.RetryAfter(); got != 1 {
-		t.Fatalf("idle RetryAfter = %d, want 1", got)
-	}
-	block := make(chan struct{})
-	running := make(chan struct{})
-	if _, err := q.Submit(func(context.Context) ([]byte, error) {
-		close(running)
-		<-block
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-running
-	for i := 0; i < 2; i++ {
-		if _, err := q.Submit(func(context.Context) ([]byte, error) { return nil, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// workers=1, running=1, queued=2 → 3 drain rounds.
-	if got := q.RetryAfter(); got != 3 {
-		t.Fatalf("loaded RetryAfter = %d, want 3", got)
-	}
-	close(block)
-}
-
 func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	q := New(Config{Workers: 1, Depth: 2})
 	defer q.Close()

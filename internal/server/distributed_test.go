@@ -199,10 +199,9 @@ func TestLayerDistributedConcurrentByteIdentical(t *testing.T) {
 	}
 
 	coord := testClusterCfg(t, 4, shard.CoordinatorConfig{}, &shard.FaultPlan{EpochDelay: 15 * time.Millisecond})
-	// MaxConcurrent must exceed 1 explicitly: on a single-CPU machine the
-	// GOMAXPROCS default would serialize the requests at the compute
-	// semaphore before the scheduler ever sees the second run.
-	_, ts := newTestServer(t, Config{CacheSize: -1, WarmCacheBytes: -1, MaxConcurrent: 4, Coordinator: coord})
+	// One compute slot: distributed runs take none, so the scheduler
+	// still sees both at once.
+	_, ts := newTestServer(t, Config{CacheSize: -1, WarmCacheBytes: -1, MaxConcurrent: 1, Coordinator: coord})
 	type result struct {
 		i    int
 		code int
@@ -241,7 +240,7 @@ func TestLayerRunQueueFull429(t *testing.T) {
 	coord := testClusterCfg(t, 1,
 		shard.CoordinatorConfig{MaxConcurrentRuns: 1, QueueDepth: -1},
 		&shard.FaultPlan{EpochDelay: 50 * time.Millisecond})
-	_, ts := newTestServer(t, Config{CacheSize: -1, MaxConcurrent: 4, Coordinator: coord})
+	_, ts := newTestServer(t, Config{CacheSize: -1, Coordinator: coord})
 
 	first := make(chan []byte, 1)
 	go func() {

@@ -94,26 +94,28 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // when the job settles, or here if the queue refuses it. The deadline
 // starts when a worker picks the job up, so a long queue wait is not
 // punished. The job runs on handleLayer's engine — identical requests
-// share one computation and the cache — with the worker pool, not the
-// semaphore, as its bound. A full queue yields batch.ErrQueueFull and
-// the queue's stats-derived Retry-After hint.
-func (s *Server) submitJob(a *admission, tr *obs.Trace) (job *batch.Job, retryAfter int, err error) {
+// share one computation and the cache — and its colony takes a slot of
+// the same compute gate. A full queue yields batch.ErrQueueFull and a
+// Retry-After hint derived from the queue's stats.
+func (s *Server) submitJob(a *admission, tr *obs.Trace) (job *batch.Job, retry int, err error) {
 	enqueued := tr.Since()
 	job, err = s.jobs.SubmitTraced(func(ctx context.Context) ([]byte, error) {
 		defer s.tracer.Finish(tr)
 		tr.Observe("queue_wait", "", 0, enqueued, tr.Since()-enqueued)
 		ctx, cancel := context.WithTimeout(obs.NewContext(ctx, tr), a.timeout)
 		defer cancel()
-		body, _, _, err := s.computeCached(ctx, a, nil)
+		body, _, _, err := s.computeCached(ctx, a)
 		return body, err
 	}, tr.ID(), a.req.Labels...)
 	if err != nil {
 		s.tracer.Finish(tr)
 		if errors.Is(err, batch.ErrQueueFull) {
-			retryAfter = s.jobs.RetryAfter()
+			// Each queued or running job is one drain round of a worker.
+			st := s.jobs.Stats()
+			retry = retryAfter(int(st.Queued+st.Running), st.Workers, time.Second)
 		}
 	}
-	return job, retryAfter, err
+	return job, retry, err
 }
 
 // jobListEntry is one row of the GET /jobs listing: the status envelope

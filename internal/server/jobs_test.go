@@ -148,7 +148,7 @@ func TestJobsIslandAlgo(t *testing.T) {
 // mid-flight fails with the 499-style reason, through the colony's
 // context plumbing.
 func TestJobsCancellation(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 1})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	resp, status := postJob(t, ts, "format=edges&tours=1000000&ants=8", bigEdgeList(300))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
@@ -183,7 +183,7 @@ func TestJobsCancellation(t *testing.T) {
 
 // TestJobsCancelQueued cancels a job that never left the backlog.
 func TestJobsCancelQueued(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 1, JobQueueDepth: 4})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, JobQueueDepth: 4})
 	// Occupy the single worker.
 	_, blocker := postJob(t, ts, "format=edges&tours=1000000&ants=8", bigEdgeList(300))
 	resp, queued := postJob(t, ts, "seed=2", demoDOT)
@@ -203,7 +203,7 @@ func TestJobsCancelQueued(t *testing.T) {
 
 // TestJobsQueueFull fills the backlog and expects 429 with Retry-After.
 func TestJobsQueueFull(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 1, JobQueueDepth: 1})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, JobQueueDepth: 1})
 	// One job computing, one queued: the next submit must bounce.
 	_, running := postJob(t, ts, "format=edges&tours=1000000&ants=8", bigEdgeList(300))
 	if _, st := postJob(t, ts, "seed=2", demoDOT); st.ID == "" {
@@ -213,7 +213,7 @@ func TestJobsQueueFull(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit status %d, want 429", resp.StatusCode)
 	}
-	// The hint is pinned to the queue-stats formula (batch.RetryAfterSeconds):
+	// The hint is pinned to the queue-stats formula (retryAfter):
 	// workers=1, running=1, queued=1 → 2 drain rounds, not a constant "1".
 	if got := resp.Header.Get("Retry-After"); got != "2" {
 		t.Fatalf("Retry-After = %q, want %q (derived from queue stats)", got, "2")
@@ -222,6 +222,35 @@ func TestJobsQueueFull(t *testing.T) {
 		t.Fatalf("rejected counter %d, want 1", m.Jobs.Rejected)
 	}
 	deleteJob(t, ts, running.ID)
+}
+
+// TestRetryAfterDerivedFromStats pins the one Retry-After rule: a pure,
+// deterministic function of (pending, slots, mean) — pending work over
+// the slots draining it, scaled by the mean, clamped to [1, 30] — never a
+// constant. The job queue passes queued+running over its workers at a
+// mean of one second (one drain round each); the cluster passes its
+// observed mean run time.
+func TestRetryAfterDerivedFromStats(t *testing.T) {
+	cases := []struct {
+		queued, running int
+		workers         int
+		mean            time.Duration
+		want            int
+	}{
+		{0, 0, 4, time.Second, 1},             // idle queue: immediate retry
+		{0, 0, 0, time.Second, 1},             // degenerate worker count clamps to 1
+		{1, 1, 1, time.Second, 2},             // one round draining, one queued
+		{4, 2, 2, time.Second, 3},             // ceil(6/2)
+		{5, 2, 2, time.Second, 4},             // ceil(7/2): remainder rounds up
+		{500, 8, 4, time.Second, 30},          // deep backlog clamps at 30s
+		{2, 1, 2, 2500 * time.Millisecond, 4}, // cluster: ceil(3·2.5s/2)
+	}
+	for _, c := range cases {
+		if got := retryAfter(c.queued+c.running, c.workers, c.mean); got != c.want {
+			t.Errorf("retryAfter(queued=%d running=%d slots=%d mean=%v) = %d, want %d",
+				c.queued, c.running, c.workers, c.mean, got, c.want)
+		}
+	}
 }
 
 // TestJobsValidation: bad requests fail at submission, not at poll time,
@@ -272,7 +301,7 @@ func TestJobsValidation(t *testing.T) {
 // TestJobsManyConcurrent floods the queue within its bounds and expects
 // every job to finish done, exercising the pool under parallel load.
 func TestJobsManyConcurrent(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 4, JobQueueDepth: 32})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 4, JobQueueDepth: 32})
 	ids := make([]string, 0, 12)
 	for i := 0; i < 12; i++ {
 		resp, status := postJob(t, ts, fmt.Sprintf("seed=%d&tours=2", i), demoDOT)
@@ -297,7 +326,7 @@ func TestJobsManyConcurrent(t *testing.T) {
 // run — whichever interleaving happens (concurrent → single-flight
 // coalesce, sequential → cache hit), exactly one body is ever computed.
 func TestJobsIdenticalRequestsComputeOnce(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 4})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 4})
 	ids := make([]string, 4)
 	for i := range ids {
 		resp, status := postJob(t, ts, "seed=11&tours=4&ants=8", demoDOT)

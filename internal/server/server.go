@@ -9,9 +9,10 @@
 //     hash. Colony runs are bitwise-deterministic (PR 1), so a hit returns
 //     exactly the bytes a recomputation would produce — repeated graphs
 //     are free. /layer and /jobs share the cache.
-//   - A semaphore bounds the number of concurrently computing /layer
-//     requests; waiting requests hold no worker resources and honour
-//     their deadline while queued.
+//   - One compute gate bounds the in-process colonies running at once,
+//     whether a /layer miss, a job or a bulk line asked for them; waiting
+//     requests hold no worker resources and honour their deadline while
+//     queued. Distributed runs are admitted by the cluster scheduler.
 //   - POST /jobs enqueues the request on a bounded job queue (202 + job
 //     id; 429 when the backlog is full) worked by a fixed pool, so
 //     clients submit many graphs without holding a connection open per
@@ -35,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net"
 	"net/http"
@@ -69,9 +71,11 @@ type Config struct {
 	// purge dozens of plain layering entries). 0 means the default
 	// (64 MiB); negative disables the byte bound (entry-counted only).
 	CacheMaxBytes int64
-	// MaxConcurrent bounds the /layer requests computing at once; further
-	// requests queue (holding no CPU) until a slot or their deadline.
-	// 0 means GOMAXPROCS.
+	// MaxConcurrent bounds the in-process colonies computing at once — a
+	// /layer miss, a job, a bulk line — and sizes the job worker pool.
+	// Further computations queue (holding no CPU) until a slot or their
+	// deadline. Runs the cluster coordinator takes are bounded by its
+	// scheduler instead. 0 means GOMAXPROCS.
 	MaxConcurrent int
 	// DefaultTimeout bounds a /layer request that sends no timeout-ms.
 	// Default 30s.
@@ -83,9 +87,6 @@ type Config struct {
 	// ShutdownGrace bounds how long Serve waits for in-flight requests
 	// after its context is cancelled. Default 10s.
 	ShutdownGrace time.Duration
-	// JobWorkers is the worker-pool size of the async /jobs queue.
-	// 0 means GOMAXPROCS.
-	JobWorkers int
 	// JobQueueDepth bounds how many submitted jobs may wait for a worker;
 	// POST /jobs beyond it answers 429. 0 means 64.
 	JobQueueDepth int
@@ -136,16 +137,6 @@ type Config struct {
 	// for repeat-with-edits traffic. 0 means the default (64 MiB);
 	// negative disables warm starting altogether.
 	WarmCacheBytes int64
-	// WarmToursFrac is the fraction of the requested tour budget a
-	// warm-started run gets (the warm colony resumes near the target, so
-	// it needs far fewer tours; stall-tours early stop trims the rest).
-	// 0 means the default (1/3); values are clamped to (0, 1].
-	WarmToursFrac float64
-	// WarmStallTours is the StopAfterStagnantTours value injected into
-	// warm-started runs that did not set their own, converting the
-	// reduced budget into actual early exits. 0 means the default (3);
-	// negative injects nothing.
-	WarmStallTours int
 	// WarmMinSimilarity is the vertex-name overlap ratio a cached graph
 	// must reach for the similarity probe to warm-start from it
 	// (|shared| / max(|a|, |b|)). 0 means the default (0.5); the
@@ -192,9 +183,6 @@ func (c Config) withDefaults() Config {
 	if c.ShutdownGrace <= 0 {
 		c.ShutdownGrace = 10 * time.Second
 	}
-	if c.JobWorkers <= 0 {
-		c.JobWorkers = runtime.GOMAXPROCS(0)
-	}
 	if c.JobQueueDepth <= 0 {
 		c.JobQueueDepth = 64
 	}
@@ -225,12 +213,6 @@ func (c Config) withDefaults() Config {
 	if c.WarmCacheBytes == 0 {
 		c.WarmCacheBytes = 64 << 20
 	}
-	if c.WarmToursFrac <= 0 || c.WarmToursFrac > 1 {
-		c.WarmToursFrac = 1.0 / 3.0
-	}
-	if c.WarmStallTours == 0 {
-		c.WarmStallTours = 3
-	}
 	if c.WarmMinSimilarity <= 0 {
 		c.WarmMinSimilarity = 0.5
 	}
@@ -251,8 +233,9 @@ type Server struct {
 	jobs     *batch.Queue
 	webhooks *webhookManager
 	tracer   *obs.Tracer
-	sem      chan struct{}
-	mux      *http.ServeMux
+	// gate holds one token per in-process colony computing (see compute).
+	gate chan struct{}
+	mux  *http.ServeMux
 	// shuttingDown flips when Serve begins graceful shutdown, so aborted
 	// in-flight requests are answered 503 rather than blamed on the client.
 	shuttingDown atomic.Bool
@@ -273,13 +256,13 @@ func New(cfg Config) *Server {
 		metrics: newServerMetrics(),
 		tracer:  obs.NewTracer(cfg.TraceRing, cfg.TraceSlowest),
 		jobs: batch.New(batch.Config{
-			Workers:     cfg.JobWorkers,
+			Workers:     cfg.MaxConcurrent,
 			Depth:       cfg.JobQueueDepth,
 			Retain:      cfg.JobRetention,
 			ExpireAfter: cfg.JobExpiry,
 			EventRing:   cfg.EventRing,
 		}),
-		sem:        make(chan struct{}, cfg.MaxConcurrent),
+		gate:       make(chan struct{}, cfg.MaxConcurrent),
 		shutdownCh: make(chan struct{}),
 	}
 	if cfg.WarmCacheBytes > 0 {
@@ -524,10 +507,8 @@ func (s *Server) parseInput(q url.Values, body io.Reader) (Request, *antlayer.Gr
 // computing, wait for its result instead of running a duplicate colony.
 // A successful leader stores to the cache before releasing its flight,
 // so a new leader's re-check through the loop cannot miss a completed
-// result. acquire, when non-nil, runs after winning flight leadership
-// and before computing (the /layer compute semaphore; jobs pass nil —
-// their worker pool is the bound); it returns a release callback or
-// ctx's error.
+// result. The leader computes through compute, the one place a colony
+// is admitted.
 //
 // source is "hit", "coalesced" or "miss" on success; stage names what
 // was happening when err struck, in the vocabulary deadlineError logs.
@@ -536,7 +517,7 @@ func (s *Server) parseInput(q url.Values, body io.Reader) (Request, *antlayer.Gr
 // admission's graph hash. a.warm drives the warm hit and tours-saved
 // accounting — a warm "hit" is any request served through a warm
 // lineage, whether the body was computed, coalesced or replayed.
-func (s *Server) computeCached(ctx context.Context, a *admission, acquire func(context.Context) (func(), error)) (body []byte, source, stage string, err error) {
+func (s *Server) computeCached(ctx context.Context, a *admission) (body []byte, source, stage string, err error) {
 	key, warm := a.key, a.warm
 	tr := obs.FromContext(ctx)
 	for {
@@ -571,38 +552,20 @@ func (s *Server) computeCached(ctx context.Context, a *admission, acquire func(c
 				return nil, "", "waiting on an identical in-flight request", ctx.Err()
 			}
 		}
-		release := func() {}
-		if acquire != nil {
-			queueStart := tr.Since()
-			release, err = acquire(ctx)
-			tr.Observe("queue_wait", "", 0, queueStart, tr.Since()-queueStart)
-			if err != nil {
-				s.flights.finish(key, fl, nil, err)
-				return nil, "", "queued for a compute slot", err
-			}
+		run := s.islandRunner(a.req)
+		body, toursRun, state, stage, err := s.compute(ctx, a, run)
+		switch {
+		case run != nil && errors.Is(err, shard.ErrNoWorkers):
+			// The fleet drained between the check and the run.
+			s.metrics.distFallbacks.Add(1)
+			s.log().Warn("worker fleet drained mid-request; running in-process", "trace", tr.ID())
+			body, toursRun, state, stage, err = s.compute(ctx, a, nil)
+		case run != nil && err == nil:
+			s.metrics.distRuns.Add(1)
 		}
-		s.metrics.inFlight.Add(1)
-		if d := s.cfg.FaultComputeDelay; d > 0 {
-			// Injected latency (chaos testing only); honours the deadline
-			// like any real computation would.
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				s.metrics.inFlight.Add(-1)
-				release()
-				s.flights.finish(key, fl, nil, ctx.Err())
-				return nil, "", "computing", ctx.Err()
-			}
-		}
-		computeStart := tr.Since()
-		body, toursRun, state, err := ComputeWith(ctx, a.req, a.g, a.names, s.islandRunner(a.req))
-		tr.Observe("compute", "", 0, computeStart, tr.Since()-computeStart)
-		s.metrics.toursRun.Add(int64(toursRun))
-		s.metrics.inFlight.Add(-1)
-		release()
 		if err != nil {
 			s.flights.finish(key, fl, nil, err)
-			return nil, "", "computing", err
+			return nil, "", stage, err
 		}
 		if state != nil && warm == nil {
 			// File a cold run's final state under the graph it solved, so
@@ -634,6 +597,47 @@ func (s *Server) computeCached(ctx context.Context, a *admission, acquire func(c
 	}
 }
 
+// compute runs a flight leader's computation: in-process when run is
+// nil, on the coordinator's fleet otherwise. A run the coordinator takes
+// is admitted by its scheduler's run queue alone. Every in-process colony
+// — a /layer miss, a job, a bulk line, or a distributed request whose
+// fleet is empty or drained — first takes a slot of the one compute gate
+// (Config.MaxConcurrent), waiting for it within ctx's deadline; the wait
+// is the trace's queue_wait span. A queued computation costs one blocked
+// goroutine, no CPU.
+func (s *Server) compute(ctx context.Context, a *admission, run IslandRunner) (body []byte, toursRun int, state *antlayer.ACOState, stage string, err error) {
+	tr := obs.FromContext(ctx)
+	if run == nil {
+		queueStart := tr.Since()
+		select {
+		case s.gate <- struct{}{}:
+			defer func() { <-s.gate }()
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		tr.Observe("queue_wait", "", 0, queueStart, tr.Since()-queueStart)
+		if err != nil {
+			return nil, 0, nil, "queued for a compute slot", err
+		}
+	}
+	s.metrics.inFlight.Add(1)
+	defer s.metrics.inFlight.Add(-1)
+	if d := s.cfg.FaultComputeDelay; d > 0 {
+		// Injected latency (chaos testing only); honours the deadline
+		// like any real computation would.
+		select {
+		case <-time.After(d):
+		case <-ctx.Done():
+			return nil, 0, nil, "computing", ctx.Err()
+		}
+	}
+	computeStart := tr.Since()
+	body, toursRun, state, err = ComputeWith(ctx, a.req, a.g, a.names, run)
+	tr.Observe("compute", "", 0, computeStart, tr.Since()-computeStart)
+	s.metrics.toursRun.Add(int64(toursRun))
+	return body, toursRun, state, "computing", err
+}
+
 // islandRunner resolves where an algo=island request burns its CPU: on
 // the shard coordinator's worker fleet when the request asked to be
 // distributed and workers are registered, in-process otherwise (nil).
@@ -652,20 +656,7 @@ func (s *Server) islandRunner(req Request) IslandRunner {
 		s.log().Warn("distributed request with no registered workers; running in-process")
 		return nil
 	}
-	return func(ctx context.Context, g *antlayer.Graph, p antlayer.IslandParams) (*antlayer.IslandResult, error) {
-		res, err := s.cfg.Coordinator.RunIsland(ctx, g, p)
-		if errors.Is(err, shard.ErrNoWorkers) {
-			// The fleet drained between the check and the run.
-			s.metrics.distFallbacks.Add(1)
-			s.log().Warn("worker fleet drained mid-request; running in-process",
-				"trace", obs.FromContext(ctx).ID())
-			return antlayer.IslandColonyRunContext(ctx, g, p)
-		}
-		if err == nil {
-			s.metrics.distRuns.Add(1)
-		}
-		return res, err
-	}
+	return s.cfg.Coordinator.RunIsland
 }
 
 // startTrace opens the trace of a /layer or /jobs request and echoes its
@@ -692,21 +683,9 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request) *obs.Trace {
 	return nil
 }
 
-// acquireSem is the /layer compute bound: the semaphore caps computation,
-// not connections — a queued request costs one blocked goroutine and
-// still honours its deadline.
-func (s *Server) acquireSem(ctx context.Context) (func(), error) {
-	select {
-	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
 // handleLayer is the daemon's synchronous endpoint: intake, then serve
 // through the shared cache/single-flight/compute engine under the
-// semaphore and the request deadline.
+// request deadline.
 func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -740,18 +719,16 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(obs.NewContext(r.Context(), tr), a.timeout)
 	defer cancel()
 
-	body, source, stage, err := s.computeCached(ctx, a, s.acquireSem)
+	body, source, stage, err := s.computeCached(ctx, a)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.deadlineError(w, r, err, stage)
 			return
 		}
 		if errors.Is(err, shard.ErrRunQueueFull) {
-			// The cluster scheduler's admission queue is at bound. The hint
-			// is derived from the scheduler's stats — pending runs over
-			// dispatch slots, scaled by observed run duration — so clients
-			// back off proportionally to the actual congestion.
-			retry := s.cfg.Coordinator.RetryAfterSeconds()
+			// The cluster scheduler's admission queue is at bound, so
+			// clients back off in proportion to its backlog.
+			retry := retryAfter(s.cfg.Coordinator.Backlog())
 			w.Header().Set("Retry-After", strconv.Itoa(retry))
 			s.httpError(w, http.StatusTooManyRequests, "distributed run queue full; retry in %ds", retry)
 			return
@@ -763,6 +740,17 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 		"trace", tr.ID(), "source", source, "warm", a.warm != nil, "n", a.g.N(), "m", a.g.M(),
 		"algo", string(a.req.Algo), "dur", time.Since(start).Round(time.Microsecond))
 	s.writeBody(w, body, source)
+}
+
+// retryAfter is the one Retry-After rule, for a 429 from the job queue
+// or the cluster's run queue: pending work over the slots draining it,
+// scaled by the mean time one item holds a slot, in whole seconds rounded
+// up and clamped to [1, 30]. It is a pure function of queue stats, so a
+// client backs off in proportion to the congestion and tests pin exact
+// values.
+func retryAfter(pending, slots int, mean time.Duration) int {
+	secs := math.Ceil(float64(pending) * mean.Seconds() / float64(max(slots, 1)))
+	return int(min(max(secs, 1), 30))
 }
 
 // timeout resolves a request's computation deadline: the server default,

@@ -234,6 +234,63 @@ func TestLayerConcurrentUnderSemaphore(t *testing.T) {
 	}
 }
 
+// TestComputeGateSharedByLayerAndJobs: /layer and /jobs draw their
+// colonies from one compute gate. At MaxConcurrent 1 a job miss and a
+// /layer miss on another graph compute one after the other — in_flight
+// never reads 2 — and the /layer request's wait for the job's slot shows
+// in its trace as queue_wait.
+func TestComputeGateSharedByLayerAndJobs(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1, FaultComputeDelay: delay, CacheSize: -1, WarmCacheBytes: -1})
+	var peak int64 // written by the sampler, read after it exits
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			peak = max(peak, s.Metrics().InFlight)
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+
+	_, job := postJob(t, ts, "seed=1&tours=2", demoDOT)
+	// The job holds the one slot once it is in flight (inside the
+	// injected delay); only then does the /layer miss arrive.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Metrics().InFlight != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("job never started computing")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resp, body := postLayer(t, ts, "format=edges&seed=2&tours=2", "3 2\n0 1\n1 2\n")
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("/layer: status %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	if final, view := pollUntilTerminal(t, ts, job.ID); final.Header.Get("X-Job-State") != "done" {
+		t.Fatalf("job: %s", view.raw)
+	}
+	close(stop)
+	<-sampled
+	if peak != 1 {
+		t.Errorf("peak in_flight = %d, want 1 (a job and a /layer miss computed at once)", peak)
+	}
+
+	var wait time.Duration
+	for _, sp := range getTrace(t, ts.URL, resp.Header.Get("X-Request-ID")).Spans {
+		if sp.Name == "queue_wait" {
+			wait += time.Duration(sp.DurUS) * time.Microsecond
+		}
+	}
+	if wait < delay/3 {
+		t.Errorf("/layer queue_wait = %v, want most of the job's %v slot", wait, delay)
+	}
+}
+
 // TestLayerSingleFlightCoalescing pins the dedup of concurrent identical
 // requests: one colony computes, everyone else reuses its bytes.
 func TestLayerSingleFlightCoalescing(t *testing.T) {

@@ -213,6 +213,15 @@ func (c *warmCache) stats() (entries int, bytes int64) {
 	return c.ll.Len(), c.bytes
 }
 
+// The warm plan's tour budget. A warm colony resumes near the target, so
+// it gets warmToursFrac of the requested tours (rounded up), and
+// warmStallTours arms the stall-tours early stop on warm runs that set
+// none, turning the reduced budget into actual early exits.
+const (
+	warmToursFrac  = 1.0 / 3.0
+	warmStallTours = 3
+)
+
 // warmRun carries what computeCached needs to account for a warm-started
 // request: the lineage (for logs and the X-Warm-Base header) and the
 // tour budget the request would have burned cold, so tours_saved can be
@@ -229,7 +238,7 @@ type warmRun struct {
 // state export, so cold computes feed the warm cache. When a usable
 // base state exists — named by base=, or found by the similarity probe
 // — it is remapped onto the request's graph by vertex name and injected
-// as ACO.Warm, the tour budget is cut to WarmToursFrac of the cold
+// as ACO.Warm, the tour budget is cut to warmToursFrac of the cold
 // budget, and the stall-tours early stop is armed (unless the request
 // set its own); the effective result-cache key gains the lineage
 // (base key + generation) so warm bodies never collide with cold ones
@@ -274,15 +283,15 @@ func (s *Server) warmPlan(req Request, g *antlayer.Graph, names []string, key, g
 	if req.Algo == "island" {
 		islands = req.options().IslandOf().Islands
 	}
-	warmTours := int(math.Ceil(float64(req.ACO.Tours) * s.cfg.WarmToursFrac))
+	warmTours := int(math.Ceil(float64(req.ACO.Tours) * warmToursFrac))
 	if warmTours < 1 {
 		warmTours = 1
 	}
 	if warmTours < req.ACO.Tours {
 		req.ACO.Tours = warmTours
 	}
-	if req.ACO.StopAfterStagnantTours == 0 && s.cfg.WarmStallTours > 0 {
-		req.ACO.StopAfterStagnantTours = s.cfg.WarmStallTours
+	if req.ACO.StopAfterStagnantTours == 0 {
+		req.ACO.StopAfterStagnantTours = warmStallTours
 	}
 	effKey := key + "|warm|" + entry.key + "|" + strconv.FormatUint(entry.gen, 10)
 	return req, effKey, &warmRun{baseKey: entry.key, similarity: sim, coldTours: coldTours * islands}, true

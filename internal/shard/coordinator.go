@@ -497,6 +497,7 @@ func (c *Coordinator) runOnce(ctx context.Context, ws []*workerConn, g *dag.Grap
 		}
 	}
 
+	ring := island.NewRing(k)
 	migrations := 0
 	for epoch := 1; ; epoch++ {
 		// Barrier: collect one epoch frame per worker. Reads run
@@ -566,35 +567,30 @@ func (c *Coordinator) runOnce(ctx context.Context, ws []*workerConn, g *dag.Grap
 				elites[e.Island] = e
 			}
 		}
-		cont := false
-		for _, e := range elites {
-			if !e.Done {
-				cont = true
-				break
-			}
+		// The in-process ring turns the assembled vector; each worker
+		// gets the incoming elites of its islands, which partition lays
+		// out as consecutive runs of ring indices.
+		incoming, cont, err := ring.Exchange(ctx, epoch, elites)
+		if err != nil {
+			return nil, abort(nil, err)
 		}
 		if !cont {
 			break
 		}
-		// The ring turns: island i's incoming elite is island (i-1+k)%k's,
-		// delivered positionally per worker. A single-island archipelago
-		// exchanges nothing (matching island.Ring).
 		migrateStart := tr.Since()
+		lo := 0
 		for i, w := range ws {
 			migrate := &message{Type: msgMigrate, Seq: seq, Epoch: epoch}
-			if k > 1 {
-				incoming := make([]island.Elite, len(parts[i]))
-				for j, isl := range parts[i] {
-					incoming[j] = elites[(isl-1+k)%k]
-				}
-				migrate.Elites = incoming
+			if len(incoming) > 0 {
+				migrate.Elites = incoming[lo : lo+len(parts[i])]
 			}
+			lo += len(parts[i])
 			if err := writeFrame(w.conn, migrate); err != nil {
 				return nil, abort(w, err)
 			}
 		}
 		tr.Observe("migrate", "", epoch, migrateStart, tr.Since()-migrateStart)
-		if k > 1 {
+		if len(incoming) > 0 {
 			migrations++
 			c.migrations.Add(1)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 
 // ErrRunQueueFull reports a distributed run rejected at admission because
 // the pending-run queue is at its bound. The HTTP layer maps it to 429
-// with a stats-derived Retry-After (see Coordinator.RetryAfterSeconds).
+// with a stats-derived Retry-After (see Coordinator.Backlog).
 var ErrRunQueueFull = errors.New("shard: run queue full")
 
 // defaultQueueDepth bounds the pending-run queue when CoordinatorConfig
@@ -338,35 +337,22 @@ func (c *Coordinator) fleetChangedLocked() {
 	c.dispatchLocked()
 }
 
-// RetryAfterSeconds estimates when queue capacity frees up, for 429
-// Retry-After headers: pending work over dispatch slots, scaled by the
-// observed mean run duration, clamped to [1, 30] seconds.
-func (c *Coordinator) RetryAfterSeconds() int {
+// Backlog reports the run queue's load, from which the daemon derives
+// a 429's Retry-After: the runs queued or running, the dispatch slots
+// draining them (registered workers, capped by MaxConcurrentRuns), and
+// the observed mean run duration (1s before any run has finished).
+func (c *Coordinator) Backlog() (pending, slots int, mean time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	pending := len(c.queue) + c.running
-	if pending == 0 {
-		return 1
-	}
-	mean := time.Second
+	mean = time.Second
 	if c.runsDone > 0 {
 		mean = c.runDurTotal / time.Duration(c.runsDone)
 	}
-	slots := len(c.workers)
+	slots = len(c.workers)
 	if c.cfg.MaxConcurrentRuns > 0 && slots > c.cfg.MaxConcurrentRuns {
 		slots = c.cfg.MaxConcurrentRuns
 	}
-	if slots < 1 {
-		slots = 1
-	}
-	secs := int(math.Ceil(float64(pending) * mean.Seconds() / float64(slots)))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	return len(c.queue) + c.running, slots, mean
 }
 
 // dispatchQuantilesLocked summarises the recent time-to-dispatch window

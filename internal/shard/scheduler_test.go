@@ -204,8 +204,8 @@ func TestRunQueueFullRejected(t *testing.T) {
 	if _, err := c.RunIsland(context.Background(), g, p); !errors.Is(err, ErrRunQueueFull) {
 		t.Fatalf("overflow run: err=%v, want ErrRunQueueFull", err)
 	}
-	if ra := c.RetryAfterSeconds(); ra < 1 || ra > 30 {
-		t.Errorf("RetryAfterSeconds()=%d, want within [1,30]", ra)
+	if pending, slots, mean := c.Backlog(); pending < 1 || slots != 1 || mean <= 0 {
+		t.Errorf("Backlog()=(%d, %d, %v), want pending runs over the one slot and a positive mean", pending, slots, mean)
 	}
 	for i := 0; i < 2; i++ {
 		if err := <-results; err != nil {

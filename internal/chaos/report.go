@@ -101,18 +101,11 @@ type Summary struct {
 	Reports []Report `json:"reports"`
 }
 
-// percentile returns the nearest-rank q-quantile of latencies (ms). The
-// slice is sorted in place. Zero samples yield zero.
+// percentile returns the q-quantile of latencies (ms) by obs.Quantile's
+// nearest-rank rule. The slice is sorted in place. Zero samples yield zero.
 func percentile(lats []float64, q float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
 	sort.Float64s(lats)
-	i := int(q * float64(len(lats)))
-	if i >= len(lats) {
-		i = len(lats) - 1
-	}
-	return lats[i]
+	return obs.Quantile(lats, q)
 }
 
 // buildPhaseReport folds a phase's raw samples into the report row and

@@ -46,7 +46,6 @@ type ant struct {
 	sufMax []float64 // sufMax[i] = max occupied width among layers i..L
 
 	// Scratch buffers reused across vertices and walks.
-	etas     []float64
 	deltas   []float64
 	affected []float64
 	scores   []float64
@@ -78,7 +77,6 @@ func newAnt(g *dag.Graph, p *Params, powTau [][]float64, L int, baseAssign []int
 		memo:     memo,
 		preMax:   make([]float64, L+2),
 		sufMax:   make([]float64, L+2),
-		etas:     make([]float64, L),
 		deltas:   make([]float64, L),
 		affected: make([]float64, L),
 		scores:   make([]float64, L),
@@ -212,96 +210,89 @@ func (a *ant) span(v int) (lo, hi int) {
 // chooseLayer applies the random proportional rule over the span [lo, hi]:
 // the probability of layer l is proportional to τ[v][l]^α · η[v][l]^β.
 // With SelectArgMax it returns the most probable layer (Algorithm 4,
-// line 6); with SelectRoulette it samples.
-//
-// The heuristic information η is dynamic (§IV-D): it is recomputed from the
-// ant's current layer widths for every decision. Two concretizations are
-// provided, see HeuristicMode.
+// line 6); with SelectRoulette it samples. Both select over the one score
+// buffer scoreSpan fills.
 func (a *ant) chooseLayer(v, lo, hi int) int {
 	if lo >= hi {
 		return lo
 	}
+	scores := a.scoreSpan(v, lo, hi)
+	start := a.assign[v]
+	if start < lo {
+		start = lo
+	}
+	if start > hi {
+		start = hi
+	}
+	start -= lo
+	switch a.p.Selection {
+	case SelectRoulette:
+		return lo + a.roulette(scores, start)
+	case SelectArgMax:
+		return lo + argmax(scores, start)
+	default: // SelectPseudoRandom
+		if a.rng.Float64() < a.p.Q0 {
+			return lo + argmax(scores, start)
+		}
+		return lo + a.roulette(scores, start)
+	}
+}
+
+// scoreSpan writes the unnormalised random-proportional-rule numerator
+// τ[v][l]^α · η[v][l]^β for every l in [lo, hi] into the scores scratch
+// buffer, indexed l-lo, with τ^α read from the per-tour snapshot. The
+// returned slice is valid until the next scoreSpan call.
+//
+// The heuristic information η is dynamic (§IV-D): it is recomputed from the
+// ant's current layer widths for every decision. HeuristicLayerWidth is the
+// literal formula of §IV-D: η = 1/W(l) with the layer's current width
+// (regularised by one dummy width so empty layers have finite
+// desirability). HeuristicObjective (the default) makes η the exact
+// desirability of the move under the paper's objective: η = exp(-Δ(v,l))
+// with Δ from evalRange. Staying put always has Δ = 0, so a
+// pheromone-neutral ant never worsens its solution; pheromone accumulated
+// over tours can still push it across small uphill steps.
+//
+// A candidate whose move would push a widened occupied layer beyond the
+// §IV-C width bound scores 0, and so does η = 0, even when β = 0. The
+// current layer stays admissible so feasibility is never lost.
+func (a *ant) scoreSpan(v, lo, hi int) []float64 {
 	var deltas, affected []float64
 	if a.p.Heuristic != HeuristicLayerWidth || a.p.WidthBound > 0 {
 		deltas, affected = a.evalRange(v, lo, hi)
 	}
-	etas := a.etas[:hi-lo+1]
-	if a.p.Heuristic == HeuristicLayerWidth {
-		for l := lo; l <= hi; l++ {
-			etas[l-lo] = 1 / (a.widths[l-1] + a.p.DummyWidth)
+	scores := a.scores[:hi-lo+1]
+	tau := a.powTau[v][lo-1 : hi]
+	cur := a.assign[v]
+	bound, layerWidth := a.p.WidthBound, a.p.Heuristic == HeuristicLayerWidth
+	for i := range scores {
+		var eta float64 // stays 0 where the width bound rejects the move
+		switch {
+		case bound > 0 && lo+i != cur && affected[i] > bound:
+		case layerWidth:
+			eta = 1 / (a.widths[lo+i-1] + a.p.DummyWidth)
+		default:
+			eta = a.memo.exp(-deltas[i])
 		}
-	} else {
-		for i, d := range deltas {
-			etas[i] = a.memo.exp(-d)
-		}
-	}
-	if a.p.WidthBound > 0 {
-		// §IV-C resource capacities: candidates whose move would push any
-		// widened occupied layer beyond the bound get zero desirability.
-		// The current layer stays admissible so feasibility is never lost.
-		cur := a.assign[v]
-		for l := lo; l <= hi; l++ {
-			if l != cur && affected[l-lo] > a.p.WidthBound {
-				etas[l-lo] = 0
-			}
+		scores[i] = 0
+		if eta != 0 {
+			scores[i] = tau[i] * a.powEta(eta)
 		}
 	}
-	switch a.p.Selection {
-	case SelectRoulette:
-		return a.rouletteLayer(v, lo, hi, etas)
-	case SelectArgMax:
-		return a.argmaxLayer(v, lo, hi, etas)
-	default: // SelectPseudoRandom
-		if a.rng.Float64() < a.p.Q0 {
-			return a.argmaxLayer(v, lo, hi, etas)
-		}
-		return a.rouletteLayer(v, lo, hi, etas)
-	}
-}
-
-// etaRange computes η[v][l] for every l in [lo, hi], indexed l-lo.
-//
-// HeuristicLayerWidth is the literal formula of §IV-D: η = 1/W(l) with the
-// layer's current width (regularised by one dummy width so empty layers
-// have finite desirability).
-//
-// HeuristicObjective (the default) makes η the exact desirability of the
-// move under the paper's objective: η = exp(-Δ(v,l)) where Δ(v,l) is the
-// change in H+W the reassignment causes, measured after the final
-// empty-layer removal (§VI note): H counts layers holding real vertices
-// and W is the maximum width over those layers including the dummy
-// vertices crossing them (Algorithm 5 bookkeeping). A small tie-break term
-// charges 0.05·wd per net dummy vertex created so plateau moves do not
-// silently inflate the dummy count. Staying put always has Δ = 0, so a
-// pheromone-neutral ant never worsens its solution; pheromone
-// accumulated over tours can still push it across small uphill steps.
-// §IV-E (items 3-4) requires exactly this information to be maintained:
-// the widths of all affected layers and the dummy vertices an assignment
-// would cause.
-//
-// chooseLayer inlines this computation to share evalRange with the width
-// bound; etaRange remains the single-purpose form used by tests. It
-// returns a freshly allocated slice, not a scratch buffer.
-func (a *ant) etaRange(v, lo, hi int) []float64 {
-	etas := make([]float64, hi-lo+1)
-	if a.p.Heuristic == HeuristicLayerWidth {
-		for l := lo; l <= hi; l++ {
-			etas[l-lo] = 1 / (a.widths[l-1] + a.p.DummyWidth)
-		}
-		return etas
-	}
-	deltas, _ := a.evalRange(v, lo, hi)
-	for i, d := range deltas {
-		etas[i] = math.Exp(-d)
-	}
-	return etas
+	return scores
 }
 
 // evalRange computes, for every candidate layer l in [lo, hi]:
 //
 //   - deltas[l-lo]: Δ(v,l) = (H'+W') - (H+W), where primes denote the
-//     state after moving v to l. All quantities are normalization-aware:
-//     only occupied layers count.
+//     state after moving v to l, measured after the final empty-layer
+//     removal (§VI note): H counts layers holding real vertices and W is
+//     the maximum width over those layers including the dummy vertices
+//     crossing them (Algorithm 5 bookkeeping). A small tie-break term
+//     charges 0.05·wd per net dummy vertex created so plateau moves do
+//     not silently inflate the dummy count. §IV-E (items 3-4) requires
+//     exactly this information to be maintained: the widths of all
+//     affected layers and the dummy vertices an assignment would cause.
 //   - affected[l-lo]: the maximum post-move width over the layers the move
 //     *widens* (the target, plus source/interior layers whose width grows),
 //     used by the §IV-C width bound. Layers the move narrows are excluded
@@ -343,21 +334,38 @@ func (a *ant) evalRange(v, lo, hi int) (deltas, affected []float64) {
 		deltas[cur-lo], affected[cur-lo] = 0, curWidth
 	}
 
-	// Upward candidates (Algorithm 5: [cur, l-1] gain out·wd, [cur+1, l]
-	// lose in·wd). The source adjustment, the interior modifier and the
-	// prefix maximum below the touched range are constant per direction;
-	// the interior maximum extends one layer at a time as the candidate
-	// moves away from cur, which is what makes the evaluation O(1) per
-	// candidate. No NaNs can occur here (widths are finite), so plain
-	// comparisons replace math.Max.
-	if hi > cur {
-		curAfter := curWidth - w + out*wd
-		interiorMod := (out - in) * wd
-		outside := a.preMax[cur-1]
+	// One candidate loop per direction. Moving up (Algorithm 5), the
+	// layers [cur, l-1] gain out·wd and [cur+1, l] lose in·wd; moving down
+	// they gain in·wd and lose out·wd. The source adjustment, the interior
+	// modifier and the width maximum on the near side of the touched range
+	// are constant per direction; the far side's maximum is one read of
+	// the maxima array ahead of the candidate, and the interior maximum
+	// extends one layer at a time as the candidate moves away from cur,
+	// which is what makes the evaluation O(1) per candidate. No NaNs can
+	// occur here (widths are finite), so plain comparisons replace
+	// math.Max and the builtin max. Loop-invariant products and slice
+	// headers are read into locals once; the products are the same
+	// float operations, so the bits do not change.
+	widths, occ := a.widths, a.occ
+	charge := 0.05 * wd
+	for _, dir := range [2]int{1, -1} {
+		gain, lose, end := out, in, hi
+		near, far := a.preMax[cur-1], a.sufMax
+		if dir < 0 {
+			gain, lose, end = in, out, lo
+			near, far = a.sufMax[cur+1], a.preMax
+		}
+		if (end-cur)*dir <= 0 {
+			continue
+		}
+		net := gain - lose
+		curAfter := curWidth - w + gain*wd
+		interiorMod := net * wd
+		loseWd := lose * wd
 		curWidens := srcShrinks && curAfter > curWidth
 		interior := negInf
-		for l := cur + 1; l <= hi; l++ {
-			lAfter := a.widths[l-1] + w - in*wd
+		for l, k, stop := cur+dir, 1, end+dir; l != stop; l, k = l+dir, k+1 {
+			lAfter := widths[l-1] + w - loseWd
 			// Maximum over the occupied layers the move makes wider (for
 			// the width bound): always the target; the source and interior
 			// layers only when the dummy adjustments actually widen them.
@@ -381,69 +389,24 @@ func (a *ant) evalRange(v, lo, hi int) (deltas, affected []float64) {
 			}
 			// New maximum over all occupied layers (for the delta).
 			wMax := touched
-			if outside > wMax {
-				wMax = outside
+			if near > wMax {
+				wMax = near
 			}
-			if s := a.sufMax[l+1]; s > wMax {
-				wMax = s
+			if f := far[l+dir]; f > wMax {
+				wMax = f
 			}
 			hNew := hBase
-			if a.occ[l-1] == 0 {
+			if occ[l-1] == 0 {
 				hNew++
 			}
 			// Net dummy vertices the move creates (negative = removes); a
 			// small charge keeps plateau moves from inflating the DVC.
-			created := float64(l-cur) * (out - in)
-			deltas[l-lo] = (float64(hNew) + wMax) - hw + 0.05*wd*created
+			created := float64(k) * net
+			deltas[l-lo] = (float64(hNew) + wMax) - hw + charge*created
 			affected[l-lo] = widened
 			// Layer l becomes interior for the next candidate.
-			if a.occ[l-1] > 0 && a.widths[l-1] > interior {
-				interior = a.widths[l-1]
-			}
-		}
-	}
-	// Downward candidates, symmetric.
-	if lo < cur {
-		curAfter := curWidth - w + in*wd
-		interiorMod := (in - out) * wd
-		outside := a.sufMax[cur+1]
-		curWidens := srcShrinks && curAfter > curWidth
-		interior := negInf
-		for l := cur - 1; l >= lo; l-- {
-			lAfter := a.widths[l-1] + w - out*wd
-			widened := lAfter
-			if curWidens && curAfter > widened {
-				widened = curAfter
-			}
-			touched := lAfter
-			if srcShrinks && curAfter > touched {
-				touched = curAfter
-			}
-			if interior != negInf {
-				ext := interior + interiorMod
-				if interiorMod > 0 && ext > widened {
-					widened = ext
-				}
-				if ext > touched {
-					touched = ext
-				}
-			}
-			wMax := touched
-			if p := a.preMax[l-1]; p > wMax {
-				wMax = p
-			}
-			if outside > wMax {
-				wMax = outside
-			}
-			hNew := hBase
-			if a.occ[l-1] == 0 {
-				hNew++
-			}
-			created := float64(cur-l) * (in - out)
-			deltas[l-lo] = (float64(hNew) + wMax) - hw + 0.05*wd*created
-			affected[l-lo] = widened
-			if a.occ[l-1] > 0 && a.widths[l-1] > interior {
-				interior = a.widths[l-1]
+			if occ[l-1] > 0 && widths[l-1] > interior {
+				interior = widths[l-1]
 			}
 		}
 	}
@@ -497,46 +460,33 @@ func (m *expMemo) exp(x float64) float64 {
 	return e.val
 }
 
-// argmaxLayer returns the layer maximising τ^α·η^β, resolving ties towards
+// argmax returns the index of the largest score, resolving ties towards
 // the shortest move (and in particular towards staying put) by scanning in
-// order of increasing distance from the current layer.
-func (a *ant) argmaxLayer(v, lo, hi int, etas []float64) int {
-	cur := a.assign[v]
-	start := cur
-	if start < lo {
-		start = lo
-	}
-	if start > hi {
-		start = hi
-	}
-	best, bestScore := start, a.scoreWith(v, start, etas[start-lo])
-	for d := 1; start-d >= lo || start+d <= hi; d++ {
-		if l := start - d; l >= lo {
-			if s := a.scoreWith(v, l, etas[l-lo]); s > bestScore {
-				best, bestScore = l, s
-			}
+// order of increasing distance from start, the current layer's index.
+func argmax(scores []float64, start int) int {
+	best, bestScore := start, scores[start]
+	for d := 1; start-d >= 0 || start+d < len(scores); d++ {
+		if i := start - d; i >= 0 && scores[i] > bestScore {
+			best, bestScore = i, scores[i]
 		}
-		if l := start + d; l <= hi {
-			if s := a.scoreWith(v, l, etas[l-lo]); s > bestScore {
-				best, bestScore = l, s
-			}
+		if i := start + d; i < len(scores) && scores[i] > bestScore {
+			best, bestScore = i, scores[i]
 		}
 	}
 	return best
 }
 
-// rouletteLayer samples a layer proportionally to the scores. When the
-// score total overflows to +Inf while every individual score is finite
-// (one huge τ^α·η^β is enough), the scores are rescaled by their maximum
-// and resummed, so roulette keeps sampling instead of silently degrading
-// to argmax for the whole span. Only genuinely degenerate totals — zero,
-// NaN, or an individually infinite score — fall back to argmax.
-func (a *ant) rouletteLayer(v, lo, hi int, etas []float64) int {
+// roulette samples an index proportionally to the scores. When the score
+// total overflows to +Inf while every individual score is finite (one huge
+// τ^α·η^β is enough), the scores are rescaled in place by their maximum and
+// resummed, so roulette keeps sampling instead of silently degrading to
+// argmax for the whole span. Only genuinely degenerate totals — zero, NaN,
+// or an individually infinite score — fall back to argmax over the same
+// buffer. A rescaled total lies in [1, len(scores)], so the fallback only
+// ever reads unscaled scores.
+func (a *ant) roulette(scores []float64, start int) int {
 	total := 0.0
-	scores := a.scores[:hi-lo+1]
-	for l := lo; l <= hi; l++ {
-		s := a.scoreWith(v, l, etas[l-lo])
-		scores[l-lo] = s
+	for _, s := range scores {
 		total += s
 	}
 	if math.IsInf(total, 1) {
@@ -555,28 +505,17 @@ func (a *ant) rouletteLayer(v, lo, hi int, etas []float64) int {
 		}
 	}
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
-		return a.argmaxLayer(v, lo, hi, etas)
+		return argmax(scores, start)
 	}
 	r := a.rng.Float64() * total
 	acc := 0.0
-	for l := lo; l <= hi; l++ {
-		acc += scores[l-lo]
+	for i, s := range scores {
+		acc += s
 		if r < acc {
-			return l
+			return i
 		}
 	}
-	return hi
-}
-
-// scoreWith is the unnormalised random-proportional-rule numerator
-// τ[v][l]^α · η^β, with τ^α read from the per-tour snapshot. A zero η
-// marks an inadmissible candidate (width bound) and yields a zero score
-// even when β = 0.
-func (a *ant) scoreWith(v, l int, eta float64) float64 {
-	if eta == 0 {
-		return 0
-	}
-	return a.powTau[v][l-1] * a.powEta(eta)
+	return len(scores) - 1
 }
 
 // powEta computes η^β. For small integer β and η comfortably inside the

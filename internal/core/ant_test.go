@@ -273,7 +273,7 @@ func TestSpanRespectsNeighbours(t *testing.T) {
 
 func TestRouletteSurvivesScoreOverflow(t *testing.T) {
 	// With extreme pheromone/α the individual scores τ^α·η^β can stay
-	// finite while their sum overflows to +Inf. rouletteLayer must then
+	// finite while their sum overflows to +Inf. roulette must then
 	// rescale and keep sampling — degrading to argmax would silently
 	// change the selection mode for the whole span (and make α/β
 	// effectively infinite). Three isolated vertices, three layers:
@@ -289,7 +289,7 @@ func TestRouletteSurvivesScoreOverflow(t *testing.T) {
 	seen := map[int]bool{}
 	for trial := 0; trial < 200; trial++ {
 		a.rng.Seed(int64(trial))
-		seen[a.rouletteLayer(0, 1, 3, a.etaRange(0, 1, 3))] = true
+		seen[1+a.roulette(a.scoreSpan(0, 1, 3), 0)] = true
 	}
 	if !seen[2] || !seen[3] {
 		t.Fatalf("roulette degraded to a deterministic choice under overflow: saw %v", seen)
@@ -300,7 +300,7 @@ func TestRouletteSurvivesScoreOverflow(t *testing.T) {
 	a.powTau[0][1] = math.Inf(1)
 	for trial := 0; trial < 50; trial++ {
 		a.rng.Seed(int64(trial))
-		if got := a.rouletteLayer(0, 1, 3, a.etaRange(0, 1, 3)); got != 2 {
+		if got := 1 + a.roulette(a.scoreSpan(0, 1, 3), 0); got != 2 {
 			t.Fatalf("infinite score: picked layer %d, want argmax layer 2", got)
 		}
 	}
@@ -341,9 +341,10 @@ func TestEtaLayerWidthOrdering(t *testing.T) {
 	p.Heuristic = HeuristicLayerWidth
 	p.MaxLayers = 3
 	a := testAnt(t, g, p, 1)
-	// All three vertices start on layer 1 (LPL of edgeless graph).
-	etas := a.etaRange(0, 1, 3)
-	if !(etas[1] > etas[0] && etas[2] > etas[0]) {
-		t.Fatalf("empty layers not preferred: %v", etas)
+	// All three vertices start on layer 1 (LPL of edgeless graph). Under
+	// uniform pheromone the scores order as η does.
+	scores := a.scoreSpan(0, 1, 3)
+	if !(scores[1] > scores[0] && scores[2] > scores[0]) {
+		t.Fatalf("empty layers not preferred: %v", scores)
 	}
 }

@@ -242,9 +242,12 @@ func TestPowTauSnapshotNonUnitAlpha(t *testing.T) {
 	}
 	// And scoring multiplies the snapshot entry by η^β.
 	a := newAnt(g, &c.p, pt, c.L, c.baseAssign, c.baseWidths, 1, newExpMemo())
-	eta := 0.7
-	if got, want := a.scoreWith(2, 3, eta), pt[2][2]*math.Pow(eta, p.Beta); got != want {
-		t.Fatalf("scoreWith = %g, want %g", got, want)
+	scores := append([]float64(nil), a.scoreSpan(2, 1, c.L)...)
+	deltas, _ := a.evalRange(2, 1, c.L)
+	for i, d := range deltas {
+		if want := pt[2][i] * math.Pow(math.Exp(-d), p.Beta); scores[i] != want {
+			t.Fatalf("score of layer %d = %g, want %g", i+1, scores[i], want)
+		}
 	}
 }
 

@@ -54,16 +54,17 @@ func Write(w io.Writer, g *dag.Graph, graphName string) error {
 	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "digraph %s {\n", quoteIfNeeded(graphName))
+	ids := nodeIDs(g)
 	for v := 0; v < g.N(); v++ {
 		var attrs []string
-		if g.Label(v) != "" && g.Label(v) != nodeName(g, v) {
+		if g.Label(v) != "" && g.Label(v) != ids[v] {
 			attrs = append(attrs, fmt.Sprintf("label=%s", quoteIfNeeded(g.Label(v))))
 		}
 		if g.Width(v) != 1.0 {
 			attrs = append(attrs, fmt.Sprintf("width=%s", strconv.FormatFloat(g.Width(v), 'g', -1, 64)))
 		}
 		if len(attrs) > 0 || (g.InDegree(v) == 0 && g.OutDegree(v) == 0) {
-			fmt.Fprintf(bw, "\t%s", quoteIfNeeded(nodeName(g, v)))
+			fmt.Fprintf(bw, "\t%s", quoteIfNeeded(ids[v]))
 			if len(attrs) > 0 {
 				fmt.Fprintf(bw, " [%s]", strings.Join(attrs, ", "))
 			}
@@ -71,19 +72,38 @@ func Write(w io.Writer, g *dag.Graph, graphName string) error {
 		}
 	}
 	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "\t%s -> %s;\n", quoteIfNeeded(nodeName(g, e.U)), quoteIfNeeded(nodeName(g, e.V)))
+		fmt.Fprintf(bw, "\t%s -> %s;\n", quoteIfNeeded(ids[e.U]), quoteIfNeeded(ids[e.V]))
 	}
 	fmt.Fprintln(bw, "}")
 	return bw.Flush()
 }
 
-// nodeName returns the external name used for v when writing.
-func nodeName(g *dag.Graph, v int) string {
-	if l := g.Label(v); l != "" {
-		return l
+// nodeIDs returns the DOT node id of every vertex: its label when set and
+// v<N> otherwise, unless an earlier vertex already holds that id (two equal
+// labels, or a label that spells another vertex's v<N>). Such a vertex gets
+// v<N>_<k> with the least free k instead, so the ids are distinct and
+// reading the output back yields every vertex; Write carries its label in
+// a label attribute.
+func nodeIDs(g *dag.Graph) []string {
+	ids := make([]string, g.N())
+	taken := make(map[string]bool, g.N())
+	for v := range ids {
+		id := g.Label(v)
+		if id == "" {
+			id = "v" + strconv.Itoa(v)
+		}
+		for k := 1; taken[id]; k++ {
+			id = "v" + strconv.Itoa(v) + "_" + strconv.Itoa(k)
+		}
+		taken[id] = true
+		ids[v] = id
 	}
-	return "v" + strconv.Itoa(v)
+	return ids
 }
+
+// dotKeywords are the words DOT reserves, case-insensitively; a node id
+// spelling one must be quoted, or "node [width=2]" reads as a default.
+var dotKeywords = [...]string{"digraph", "edge", "graph", "node", "strict", "subgraph"}
 
 func quoteIfNeeded(s string) string {
 	if s == "" {
@@ -102,6 +122,11 @@ func quoteIfNeeded(s string) string {
 		}
 		if !plain {
 			break
+		}
+	}
+	for _, kw := range dotKeywords {
+		if strings.EqualFold(s, kw) {
+			plain = false
 		}
 	}
 	if plain {

@@ -125,6 +125,86 @@ func FuzzReadEdgeListNamed(f *testing.F) {
 	})
 }
 
+// FuzzReadDOT is FuzzReadEdgeListNamed for the DOT reader, the default
+// body format of /layer and /jobs: whatever the bytes, Read returns a clean
+// error or a valid graph with one distinct name per vertex, and writing
+// that graph back out and reading it again keeps its vertex and edge
+// counts. The seed corpus is the inputs of dot_test.go, accepted and
+// rejected alike.
+func FuzzReadDOT(f *testing.F) {
+	for _, seed := range []string{
+		`digraph G { a -> b; b -> c; a -> c; }`,
+		`digraph { a -> b -> c -> d; }`,
+		"digraph {\n\tnode [shape=box];\n\ta [label=\"Vertex A\", width=2.5];\n\tb [width=0.5]\n\ta -> b [style=dotted];\n}",
+		"\n// leading comment\ndigraph { /* block\ncomment */ a -> b; # trailing\n}",
+		"digraph {\na -> b; // tail comment\n// full-line comment\nb -> c;\n}",
+		"digraph { a -> b; } // eof comment",
+		"# preprocessor-style header\ndigraph {\na -> b # tail\n# between\nb -> c\n}",
+		"digraph { a -> b; } # eof",
+		"digraph { a /* inline */ -> /* again */ b; }",
+		"digraph {\na -> b;\n/* spans\nseveral\nlines */\nb -> c;\n}",
+		`digraph { a [label="A" /* why */ , width=2]; }`,
+		`digraph { a -> b -> c [style=dotted, weight=2]; }`,
+		`digraph { "n 1" -> mid -> "n 2"; }`,
+		`digraph { 1->2->3; }`,
+		"digraph {\n0 [width=1.5]\n0->1 [weight=2] // chain tail\n}",
+		`digraph { a [width=1.5e+1]; a -> b; }`,
+		`digraph { "node one" -> "node:two"; }`,
+		`strict digraph X { a -> b; }`,
+		`digraph { a -> b; a -> b; }`,
+		``,
+		`graph { a -- b; }`,
+		`digraph { a -> ; }`,
+		`digraph { a -> a; }`,
+		`digraph { a -> b`,
+		`digraph { a [x] }`,
+		`digraph { } trailing`,
+		`digraph { "unterminated`,
+		`digraph { a -> b; } }`,
+		`digraph { a - b; }`,
+		`digraph { a [width=abc]; }`,
+		// Write once merged these on the way back: equal labels, an empty
+		// label next to the v<N> it falls back to, a keyword node id.
+		`digraph { a [label="b"]; b; }`,
+		`digraph { a [label=""]; v0 -> c; }`,
+		`digraph { "node" [width=2]; }`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		n, err := ReadString(data)
+		if err != nil {
+			if n != nil {
+				t.Fatalf("error %v alongside a non-nil graph", err)
+			}
+			return
+		}
+		g := n.Graph
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted graph fails Validate: %v", err)
+		}
+		if len(n.Names) != g.N() || len(n.ID) != g.N() {
+			t.Fatalf("%d names, %d ids for %d vertices", len(n.Names), len(n.ID), g.N())
+		}
+		for v, name := range n.Names {
+			if n.ID[name] != v {
+				t.Fatalf("vertex %d named %q, but %q maps to %d", v, name, name, n.ID[name])
+			}
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, g, "fuzz"); err != nil {
+			t.Fatal(err)
+		}
+		h, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("round trip rejected: %v\n%s", err, buf.String())
+		}
+		if h.Graph.N() != g.N() || h.Graph.M() != g.M() {
+			t.Fatalf("round trip: n=%d m=%d, want n=%d m=%d\n%s", h.Graph.N(), h.Graph.M(), g.N(), g.M(), buf.String())
+		}
+	})
+}
+
 // TestLabelRoundTripQuick writes graphs whose labels contain arbitrary
 // strings and checks they survive the DOT round trip.
 func TestLabelRoundTripQuick(t *testing.T) {

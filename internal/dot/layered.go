@@ -25,6 +25,7 @@ func WriteLayered(w io.Writer, l *layering.Layering, graphName string) error {
 	fmt.Fprintf(bw, "digraph %s {\n", quoteIfNeeded(graphName))
 	fmt.Fprintln(bw, "\trankdir=TB;")
 
+	ids := nodeIDs(g)
 	layers := l.Layers()
 	// Anchor chain: one invisible node per layer, top layer first.
 	fmt.Fprint(bw, "\t")
@@ -42,12 +43,12 @@ func WriteLayered(w io.Writer, l *layering.Layering, graphName string) error {
 	for li := len(layers); li >= 1; li-- {
 		fmt.Fprintf(bw, "\t{ rank=same; __rank%d;", li)
 		for _, v := range layers[li-1] {
-			fmt.Fprintf(bw, " %s;", quoteIfNeeded(nodeName(g, v)))
+			fmt.Fprintf(bw, " %s;", quoteIfNeeded(ids[v]))
 		}
 		fmt.Fprintln(bw, " }")
 	}
 	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "\t%s -> %s;\n", quoteIfNeeded(nodeName(g, e.U)), quoteIfNeeded(nodeName(g, e.V)))
+		fmt.Fprintf(bw, "\t%s -> %s;\n", quoteIfNeeded(ids[e.U]), quoteIfNeeded(ids[e.V]))
 	}
 	fmt.Fprintln(bw, "}")
 	return bw.Flush()

@@ -129,7 +129,7 @@ func ParseRequest(q url.Values) (Request, error) {
 			req.ACO.Seed, err = strconv.ParseInt(v, 10, 64)
 		case "workers":
 			req.ACO.Workers, err = strconv.Atoi(v)
-		case "stop-stagnant", "stall-tours": // two names, one knob
+		case "stop-stagnant":
 			req.ACO.StopAfterStagnantTours, err = strconv.Atoi(v)
 		case "width-bound":
 			req.ACO.WidthBound, err = strconv.ParseFloat(v, 64)

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,8 +67,8 @@ func (m *serverMetrics) observeLatency(d time.Duration) {
 	m.mu.Unlock()
 }
 
-// quantiles returns nearest-rank p50 and p99 over the retained window, in
-// milliseconds.
+// quantiles returns p50 and p99 over the retained window, in milliseconds
+// (obs.Quantile's nearest-rank rule).
 func (m *serverMetrics) quantiles() (count int64, p50, p99 float64) {
 	m.mu.Lock()
 	n := int(m.latCount)
@@ -79,15 +79,9 @@ func (m *serverMetrics) quantiles() (count int64, p50, p99 float64) {
 	copy(buf, m.latRing[:n])
 	count = m.latCount
 	m.mu.Unlock()
-	if n == 0 {
-		return count, 0, 0
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	rank := func(q float64) float64 {
-		i := int(q * float64(n-1))
-		return float64(buf[i].Nanoseconds()) / 1e6
-	}
-	return count, rank(0.50), rank(0.99)
+	slices.Sort(buf)
+	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+	return count, ms(obs.Quantile(buf, 0.50)), ms(obs.Quantile(buf, 0.99))
 }
 
 // MetricsSnapshot is the JSON document /metrics serves. CacheMisses

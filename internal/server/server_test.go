@@ -467,6 +467,23 @@ func TestLayerBadRequests(t *testing.T) {
 	}
 }
 
+// TestStopStagnantKnob: stop-stagnant=N reaches the colony, which ends a
+// run once N tours in a row fail to improve; the knob has no other name.
+func TestStopStagnantKnob(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	_, body := postLayer(t, ts, "tours=60&stop-stagnant=2&seed=1", demoDOT)
+	var r testResponse
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatalf("%v (body %.120s)", err, body)
+	}
+	if r.ToursRun < 2 || r.ToursRun >= 60 {
+		t.Errorf("stop-stagnant=2: tours_run = %d, want an early stop in [2, 60)", r.ToursRun)
+	}
+	if resp, body := postLayer(t, ts, "tours=60&stall-tours=2&seed=1", demoDOT); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("stall-tours=2: status %d, want 400 (body %.120s)", resp.StatusCode, body)
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")

@@ -215,7 +215,7 @@ func (c *warmCache) stats() (entries int, bytes int64) {
 
 // The warm plan's tour budget. A warm colony resumes near the target, so
 // it gets warmToursFrac of the requested tours (rounded up), and
-// warmStallTours arms the stall-tours early stop on warm runs that set
+// warmStallTours arms the stop-stagnant early stop on warm runs that set
 // none, turning the reduced budget into actual early exits.
 const (
 	warmToursFrac  = 1.0 / 3.0
@@ -237,9 +237,10 @@ type warmRun struct {
 // island, warm not disabled, no caller-supplied state) it flips on
 // state export, so cold computes feed the warm cache. When a usable
 // base state exists — named by base=, or found by the similarity probe
-// — it is remapped onto the request's graph by vertex name and injected
+// (never run for edge lists, whose vertex names carry no identity) — it
+// is remapped onto the request's graph by vertex name and injected
 // as ACO.Warm, the tour budget is cut to warmToursFrac of the cold
-// budget, and the stall-tours early stop is armed (unless the request
+// budget, and the stop-stagnant early stop is armed (unless the request
 // set its own); the effective result-cache key gains the lineage
 // (base key + generation) so warm bodies never collide with cold ones
 // and replays of the same lineage stay byte-identical.
@@ -265,9 +266,15 @@ func (s *Server) warmPlan(req Request, g *antlayer.Graph, names []string, key, g
 	}
 	var entry *warmEntry
 	sim := 1.0
-	if req.Base != "" {
+	switch {
+	case req.Base != "":
 		entry, _ = s.warm.get(req.Base)
-	} else {
+	case req.Format == "edges":
+		// Edge-list vertices are all named v0…vN-1, so name overlap would
+		// pair any two edge lists of similar size. They still publish
+		// their cold states for base= to name.
+		return req, key, nil, false
+	default:
 		entry, sim = s.warm.probe(names, s.cfg.WarmMinSimilarity)
 	}
 	if entry == nil {

@@ -2,12 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
+	"net/url"
+	"strings"
 	"testing"
 
 	"antlayer/internal/core"
+	"antlayer/internal/dot"
+	"antlayer/internal/graphgen"
 )
 
 // editedDOT is demoDOT with one vertex renamed-in-place edit: vertex f
@@ -118,6 +124,64 @@ func TestWarmDisabledAndOptOuts(t *testing.T) {
 	}
 	if m := s2.Metrics(); m.WarmHits != 0 || m.WarmMisses != 0 || m.WarmEntries != 0 {
 		t.Errorf("disabled daemon warm counters = %+v, want all zero", m)
+	}
+}
+
+// randomEdgeList is a random n-vertex DAG in edge-list format.
+func randomEdgeList(t *testing.T, n int, seed int64) string {
+	t.Helper()
+	g, err := graphgen.Generate(graphgen.DefaultConfig(n), rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := dot.WriteEdgeList(&b, g); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestWarmEdgeListsSkipProbe: edge-list vertices are all named v0…vN-1, so
+// the name-similarity probe would warm-start an unrelated edge list of
+// similar size from whichever came before. Without base= an edge list runs
+// cold (no X-Warm header, no warm miss) and answers what a cold Compute
+// does; its state is still published, so base= can name it.
+func TestWarmEdgeListsSkipProbe(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheSize: -1})
+	const query = "format=edges&algo=aco&tours=9&seed=1"
+	first, second := randomEdgeList(t, 60, 1), randomEdgeList(t, 60, 2)
+
+	resp1, _ := postLayer(t, ts, query, first)
+	resp2, body2 := postLayer(t, ts, query, second)
+	for i, resp := range []*http.Response{resp1, resp2} {
+		if got := resp.Header.Get("X-Warm"); got != "" {
+			t.Errorf("edge list %d: X-Warm = %q, want no header", i+1, got)
+		}
+	}
+	q, _ := url.ParseQuery(query)
+	req, err := ParseRequest(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, names, err := ParseGraph(req, strings.NewReader(second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, _, err := Compute(context.Background(), req, g, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body2, cold) {
+		t.Errorf("second edge list answered differently from a cold Compute:\n got %s\nwant %s", body2, cold)
+	}
+	if m := s.Metrics(); m.WarmHits != 0 || m.WarmMisses != 0 || m.WarmEntries != 2 {
+		t.Errorf("warm hits/misses/entries = %d/%d/%d, want 0/0/2", m.WarmHits, m.WarmMisses, m.WarmEntries)
+	}
+
+	// base= still warm-starts an edge list from a named anchor.
+	resp3, _ := postLayer(t, ts, query+"&base="+resp1.Header.Get("X-Graph-Key"), second)
+	if got := resp3.Header.Get("X-Warm"); got != "hit" {
+		t.Errorf("base= on an edge list: X-Warm = %q, want hit", got)
 	}
 }
 

@@ -356,25 +356,15 @@ func (c *Coordinator) Backlog() (pending, slots int, mean time.Duration) {
 }
 
 // dispatchQuantilesLocked summarises the recent time-to-dispatch window
-// (nearest-rank, like the server's latency quantiles).
+// (obs.Quantile, the rule of the server's latency quantiles).
 func (c *Coordinator) dispatchQuantilesLocked() (count int64, p50, p99 float64) {
 	count = c.dispatchCount
 	n := int(count)
 	if n > dispatchWindow {
 		n = dispatchWindow
 	}
-	if n == 0 {
-		return 0, 0, 0
-	}
 	lat := make([]float64, n)
 	copy(lat, c.dispatchMs[:n])
 	sort.Float64s(lat)
-	rank := func(q float64) float64 {
-		i := int(q * float64(n))
-		if i >= n {
-			i = n - 1
-		}
-		return lat[i]
-	}
-	return count, rank(0.50), rank(0.99)
+	return count, obs.Quantile(lat, 0.50), obs.Quantile(lat, 0.99)
 }
